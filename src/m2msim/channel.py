@@ -139,12 +139,6 @@ def evolve_many(states: np.ndarray, markov: RbMarkov, uniforms: np.ndarray) -> n
     return np.where(uniforms < p_idle, IDLE, BUSY)
 
 
-def sample_gain(rng: np.random.Generator) -> float:
-    """Fading power gain: square of a unit normal amplitude, mean 1."""
-    g = rng.standard_normal()
-    return g * g
-
-
 def rate(own_gain: float,
          interferers: Iterable[Tuple[float, float]],
          params: RadioParams) -> float:

@@ -34,15 +34,6 @@ class ControllerParams:
             raise ValueError("mu must be positive")
 
 
-@dataclass
-class ControllerState:
-    """Carry-over between periods: filtered rates, last gap, last allocation."""
-
-    filtered_rates: np.ndarray
-    prev_gap: np.ndarray
-    allocation: List[int]
-
-
 def smooth(q_prev, c_now, omega: float):
     """Low-pass step: omega * old + (1 - omega) * new."""
     return omega * q_prev + (1.0 - omega) * c_now

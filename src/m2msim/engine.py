@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -142,7 +142,6 @@ class Simulation:
 
         self.device_slice = np.repeat(np.arange(self.n_slices),
                                       [s.devices for s in config.slices])
-        self.slice_of_device = self.device_slice  # alias used by records
         self.allocation = [s.access_rbs for s in config.slices]
         self.weights = np.array([s.weight for s in config.slices], dtype=float)
 
@@ -161,27 +160,30 @@ class Simulation:
         self.beliefs: Optional[np.ndarray] = None
         self._belief_offsets: Optional[np.ndarray] = None
         self._belief_widths: Optional[np.ndarray] = None
+        self._policies: Dict[int, object] = {}
+        # reused: a fresh (devices, pool) array per slot re-faults pages at scale
+        self._obs_u = np.empty((self.n_devices, self.pool))
 
         self.period_rows: List[PeriodRow] = []
         self.period_mean_rewards: List[float] = []
         self.slot_records: List[SlotRecord] = []
         self._final_gap = np.zeros(self.n_slices)
 
-    # -- per-period setup ---------------------------------------------------
+    # -- policies and block layout ------------------------------------------
 
-    def _solve_policies(self) -> List:
-        policies = []
-        for r_l in self.allocation:
+    def _policy(self, width: int):
+        """The planning policy of a slice `width` RBs wide, solved once per run."""
+        if width not in self._policies:
             model = PomdpModel(
                 markov=self.config.markov, obs=self.config.obs,
                 horizon=self.config.timebase.slots_per_period,
                 discount=self.config.discount,
-                rate_idle=np.full(r_l, self.rate_idle),
-                rate_busy=np.full(r_l, self.rate_busy),
+                rate_idle=np.full(width, self.rate_idle),
+                rate_busy=np.full(width, self.rate_busy),
                 sleep_sensing=self.config.sleep_sensing)
-            policies.append(pomdp.solve(model, mode=self.config.solver_mode,
-                                        grid_points=self.config.grid_points))
-        return policies
+            self._policies[width] = pomdp.solve(model, mode=self.config.solver_mode,
+                                                grid_points=self.config.grid_points)
+        return self._policies[width]
 
     def _offsets(self) -> np.ndarray:
         return np.concatenate([[0], np.cumsum(self.allocation)[:-1]]).astype(int)
@@ -192,13 +194,12 @@ class Simulation:
         """Advance occupancy, let every device act, return the slot outcome."""
         cfg = self.config
         n = self.n_devices
-        offsets = self._offsets()[self.device_slice]
 
         # fixed-rate draws, consumed whether or not they end up used
         state_u = self._state_rng.random(self.pool)
         own_gain = self._gain_rng.standard_normal(n) ** 2
         bg_gain = self._bg_rng.standard_normal(self.pool) ** 2
-        obs_u = self._obs_rng.random((n, self.pool))
+        obs_u = self._obs_rng.random(out=self._obs_u)
         policy_u = self._policy_rng.random(n)
 
         self.rb_states = evolve_many(self.rb_states, cfg.markov, state_u)
@@ -207,7 +208,7 @@ class Simulation:
 
         accessing = actions > 0
         local = actions - 1
-        rb_global = np.where(accessing, offsets + local, -1)
+        rb_global = np.where(accessing, self._belief_offsets + local, -1)
 
         p = cfg.radio.tx_power
         power = np.zeros(self.pool + 1)
@@ -241,9 +242,8 @@ class Simulation:
 
     def _choose_actions(self, slot: int, policy_u: np.ndarray) -> np.ndarray:
         cfg = self.config
-        r_l = np.array(self.allocation)[self.device_slice]
         if cfg.policy_mode == "random":
-            return (policy_u * r_l).astype(int) + 1
+            return (policy_u * self._belief_widths).astype(int) + 1
         if cfg.policy_mode == "perfect":
             # clairvoyant ceiling: devices know the slot's true occupancy and
             # spread uniformly over their slice's idle RBs (all RBs if none idle)
@@ -259,30 +259,22 @@ class Simulation:
                 else:
                     actions[members] = (u * block.size).astype(int) + 1
             return actions
-        if self._fast_path:
-            w = self._slot_weights[slot]
-            if w == 0.0:
-                return np.zeros(self.n_devices, dtype=int)
-            m = pomdp.belief_propagate(self.beliefs, cfg.markov)
-            exp_rate = m * self.rate_idle + (1.0 - m) * self.rate_busy
-            exp_rate[~self._belief_mask] = -np.inf
-            best = np.argmax(exp_rate, axis=1)
-            q = exp_rate[np.arange(self.n_devices), best]
-            return np.where(q > 0.0, best + 1, 0)
+        widest = self._policy(self.beliefs.shape[1])
+        if widest.any_width:
+            return widest.act_batch(self.beliefs, self._belief_mask, slot)
         actions = np.empty(self.n_devices, dtype=int)
-        for dev in range(self.n_devices):
-            k = int(r_l[dev])
-            actions[dev] = self._policies[self.device_slice[dev]].act(
-                self.beliefs[dev, :k], slot)
+        for width in set(self.allocation):
+            rows = self._belief_widths == width
+            actions[rows] = self._policy(width).act_batch(
+                self.beliefs[rows, :width], self._belief_mask[rows, :width], slot)
         return actions
 
     def _sense_and_update(self, actions: np.ndarray, obs_u: np.ndarray) -> np.ndarray:
         """Per-device noisy readings of their slice's RBs, then Bayes step."""
         cfg = self.config
         n = self.n_devices
-        offsets = self._offsets()[self.device_slice]
         width = self.beliefs.shape[1]
-        cols = offsets[:, None] + np.arange(width)[None, :]
+        cols = self._belief_offsets[:, None] + np.arange(width)[None, :]
         cols = np.minimum(cols, self.pool - 1)      # masked columns read garbage safely
         truth = self.rb_states[cols]
 
@@ -359,13 +351,6 @@ class Simulation:
         k_slots = cfg.timebase.slots_per_period
 
         self._rebuild_beliefs()
-        self._policies = None
-        self._fast_path = (cfg.policy_mode == "pomdp"
-                           and cfg.solver_mode in ("auto", "myopic")
-                           and cfg.obs.trusted_epsilon == cfg.obs.trusted_phi
-                           and cfg.sleep_sensing)
-        if cfg.policy_mode == "pomdp" and not self._fast_path:
-            self._policies = self._solve_policies()
 
         slot_totals = np.zeros((k_slots, self.n_slices))
         device_rewards = np.zeros((self.n_devices, k_slots))
@@ -438,6 +423,7 @@ class SweepRow:
     axis: str
     axis_value: float
     seed: int
+    config: ScenarioConfig   # the run's own scenario, axis value and seed applied
     summary: RunSummary
 
 
@@ -484,16 +470,17 @@ def with_axis_value(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
 
 
 def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
-              seeds: Sequence[int]) -> List[SweepRow]:
-    """Run the scenario across an axis with every seed; rows keyed (value, seed)."""
-    rows = []
-    for value in values:
-        variant = with_axis_value(config, axis, value)
-        for seed in seeds:
-            cfg = dataclasses.replace(variant, seed=int(seed))
-            rows.append(SweepRow(axis=axis, axis_value=float(value), seed=int(seed),
-                                 summary=run_simulation(cfg)))
-    return rows
+              seeds: Sequence[int], map_fn: Callable = map) -> List[SweepRow]:
+    """Run the scenario across an axis with every seed; rows keyed (value, seed).
+
+    map_fn runs the jobs in order; an executor's map spreads them over processes.
+    """
+    jobs = [(float(value),
+             dataclasses.replace(with_axis_value(config, axis, value), seed=int(seed)))
+            for value in values for seed in seeds]
+    summaries = map_fn(run_simulation, [cfg for _, cfg in jobs])
+    return [SweepRow(axis=axis, axis_value=value, seed=cfg.seed, config=cfg, summary=summary)
+            for (value, cfg), summary in zip(jobs, summaries)]
 
 
 def aggregate_sweep(rows: Sequence[SweepRow]) -> List[Tuple[float, float, float]]:

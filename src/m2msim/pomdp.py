@@ -29,6 +29,12 @@ Three interchangeable solver modes:
           device does, and the greedy rule is provably optimal.  This is the
           production path for wide slices.
 
+Every policy has `act_batch(beliefs (N, R), valid (N, R), slot) -> (N,)`; the
+planners need full-width rows.  Ties: myopic rates are one product per RB and
+carry no float noise, so it takes their exact argmax (lowest RB first; sleep
+only when the best rate is <= 0).  Exact and grid values do carry noise, so
+`_pick_action` counts values within a relative 1e-9 as tied and sleep wins.
+
 `exhaustive_value` evaluates the optimum by direct expectimax over the full
 action/observation tree and is the reference the exact solver is checked
 against.
@@ -41,7 +47,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .channel import RbMarkov
 
@@ -176,18 +181,6 @@ def observe(true_state: int, flip_prob: float, rng: np.random.Generator) -> int:
 # ---------------------------------------------------------------------------
 # rewards
 
-def immediate_reward(action: int, rate_on_chosen: float) -> float:
-    """Reward of one slot: 0 when sleeping, else the rate on the chosen RB."""
-    if action == SLEEP:
-        return 0.0
-    return float(rate_on_chosen)
-
-
-def best_rb_reward(rates: Sequence[float]) -> float:
-    """Reward ceiling of a slot: the best rate across the slice's RBs."""
-    return float(np.max(np.asarray(rates, dtype=float)))
-
-
 def total_discounted_reward(rewards: Sequence[float], discount: float) -> float:
     """Horizon total with late-slot emphasis: sum_k discount**(K-1-k) * r_k."""
     r = np.asarray(rewards, dtype=float)
@@ -238,25 +231,47 @@ def _predicted_rates(model: PomdpModel, beliefs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # policies
 
+def _act_one(policy, belief: np.ndarray, slot: int) -> int:
+    b = np.asarray(belief, dtype=float)[None, :]
+    return int(policy.act_batch(b, np.ones(b.shape, dtype=bool), slot)[0])
+
+
+def _scalar_if_equal(rates: np.ndarray):
+    return rates[0] if np.all(rates == rates[0]) else rates
+
+
 class MyopicPolicy:
-    """Greedy per-slot rule, optimal when observations ignore the action."""
+    """Greedy per-slot rule, optimal when observations ignore the action.
+
+    Exact argmax of the unweighted expected rates, with no tie band (see the
+    module docstring); every device sleeps when the slot weight is 0.  RBs are
+    scored one by one, so narrower rows can be masked in via `valid` (any_width).
+    """
 
     mode = "myopic"
+    any_width = True
 
     def __init__(self, model: PomdpModel):
         if not model.action_independent_observations():
             raise ValueError("myopic rule requires epsilon == phi and sleep sensing")
         self.model = model
-
-    def action_values(self, belief: np.ndarray, slot: int) -> np.ndarray:
-        w = self.model.slot_weight(slot)
-        q = np.empty(self.model.n_rbs + 1)
-        q[0] = 0.0
-        q[1:] = w * _predicted_rates(self.model, np.asarray(belief, dtype=float))
-        return q
+        # scalar rates are far cheaper than broadcasting equal rate vectors
+        self._rate_idle = _scalar_if_equal(model.rate_idle)
+        self._rate_busy = _scalar_if_equal(model.rate_busy)
 
     def act(self, belief: np.ndarray, slot: int) -> int:
-        return _pick_action(self.action_values(belief, slot))
+        return _act_one(self, belief, slot)
+
+    def act_batch(self, beliefs: np.ndarray, valid: np.ndarray, slot: int) -> np.ndarray:
+        """Actions (N,) for beliefs (N, R); valid (N, R) marks each row's RBs."""
+        if self.model.slot_weight(slot) == 0.0:
+            return np.zeros(len(beliefs), dtype=int)
+        m = belief_propagate(beliefs, self.model.markov)
+        exp_rate = m * self._rate_idle + (1.0 - m) * self._rate_busy
+        exp_rate[~valid] = -np.inf
+        best = np.argmax(exp_rate, axis=1)
+        q = exp_rate[np.arange(len(beliefs)), best]
+        return np.where(q > 0.0, best + 1, 0)
 
     def dump(self) -> str:
         lines = ["policy-dump v1", "mode: myopic",
@@ -271,31 +286,33 @@ class AlphaPolicy:
     """Slot-indexed alpha-vector sets over the joint RB state space."""
 
     mode = "exact"
+    any_width = False
 
     def __init__(self, model: PomdpModel, per_action: List[dict]):
         self.model = model
         self.per_action = per_action  # [slot] -> {action: (n_alpha, S) array}
 
-    def _joint(self, belief: np.ndarray) -> np.ndarray:
-        # product law over joint states; RB 0 owns the top bit of the index,
-        # matching _joint_transition and _state_bits
-        joint = np.ones(1)
-        for b in reversed(np.asarray(belief, dtype=float)):
-            joint = np.concatenate([joint * b, joint * (1.0 - b)])
+    def _joint(self, beliefs: np.ndarray) -> np.ndarray:
+        # product law over joint states, one row per belief; RB 0 owns the
+        # top bit of the index, matching _joint_transition and _state_bits
+        joint = np.ones((len(beliefs), 1))
+        for b in reversed(beliefs.T[:, :, None]):
+            joint = np.hstack([joint * b, joint * (1.0 - b)])
         return joint
 
-    def action_values(self, belief: np.ndarray, slot: int) -> np.ndarray:
-        joint = self._joint(belief)
-        q = np.empty(self.model.n_rbs + 1)
-        for a in range(self.model.n_rbs + 1):
-            q[a] = float(np.max(self.per_action[slot][a] @ joint))
-        return q
+    def action_values(self, beliefs: np.ndarray, slot: int) -> np.ndarray:
+        joint = self._joint(np.asarray(beliefs, dtype=float))
+        return np.stack([np.max(joint @ self.per_action[slot][a].T, axis=1)
+                         for a in range(self.model.n_rbs + 1)], axis=1)
 
     def act(self, belief: np.ndarray, slot: int) -> int:
-        return _pick_action(self.action_values(belief, slot))
+        return _act_one(self, belief, slot)
+
+    def act_batch(self, beliefs: np.ndarray, valid: np.ndarray, slot: int) -> np.ndarray:
+        return _pick_action(self.action_values(beliefs, slot))
 
     def value(self, belief: np.ndarray, slot: int = 0) -> float:
-        return float(np.max(self.action_values(belief, slot)))
+        return float(np.max(self.action_values(np.asarray(belief)[None, :], slot)))
 
     def dump(self) -> str:
         lines = ["policy-dump v1", "mode: exact",
@@ -315,22 +332,25 @@ class GridPolicy:
     """Per-slot value tables over the product of per-RB belief grids."""
 
     mode = "grid"
+    any_width = False
 
     def __init__(self, model: PomdpModel, grid_points: int, tables: List[np.ndarray]):
         self.model = model
         self.grid_points = grid_points
         self.tables = tables  # [slot] -> array of shape (G,) * R, tables[K] == 0
 
-    def action_values(self, belief: np.ndarray, slot: int) -> np.ndarray:
-        b = np.asarray(belief, dtype=float)[None, :]
-        return _grid_action_values(self.model, b, slot,
-                                   self.tables[slot + 1], self.grid_points)[0]
+    def action_values(self, beliefs: np.ndarray, slot: int) -> np.ndarray:
+        return _grid_action_values(self.model, np.asarray(beliefs, dtype=float), slot,
+                                   self.tables[slot + 1], self.grid_points)
 
     def act(self, belief: np.ndarray, slot: int) -> int:
-        return _pick_action(self.action_values(belief, slot))
+        return _act_one(self, belief, slot)
+
+    def act_batch(self, beliefs: np.ndarray, valid: np.ndarray, slot: int) -> np.ndarray:
+        return _pick_action(self.action_values(beliefs, slot))
 
     def value(self, belief: np.ndarray, slot: int = 0) -> float:
-        return float(np.max(self.action_values(belief, slot)))
+        return float(np.max(self.action_values(np.asarray(belief)[None, :], slot)))
 
     def dump(self) -> str:
         lines = ["policy-dump v1", "mode: grid",
@@ -342,24 +362,16 @@ class GridPolicy:
         return "\n".join(lines) + "\n"
 
 
-def _pick_action(q: np.ndarray) -> int:
-    """Sleep wins ties against every access value; otherwise lowest RB index.
+def _pick_action(q: np.ndarray) -> np.ndarray:
+    """Actions from planner values q (N, R + 1); sleep, then the lowest RB, wins ties.
 
-    Values within a relative 1e-9 band count as tied, so solver backends that
-    reach the same action values up to float noise break ties identically.
+    Values within a relative 1e-9 band count as tied, so the float noise of
+    alpha-vector sums and grid lookups cannot pick between equal actions.
+    MyopicPolicy's one-product rates have no such noise and compare exactly.
     """
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(q))))
-    best = float(np.max(q[1:]))
-    if q[0] >= best - tol:
-        return SLEEP
-    for r in range(1, q.size):
-        if q[r] >= best - tol:
-            return r
-    raise AssertionError("unreachable: some access value attains the maximum")
-
-
-def act(policy, belief: np.ndarray, slot: int) -> int:
-    return policy.act(belief, slot)
+    tol = 1e-9 * np.maximum(1.0, np.max(np.abs(q), axis=1))
+    best = np.max(q[:, 1:], axis=1)
+    return np.argmax(q >= (best - tol)[:, None], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +492,7 @@ def _prune(vectors: np.ndarray, tol: float = 1e-11, cap: int = 0) -> np.ndarray:
         rest = rest[~dominated]
 
     # witness LP: does v beat every kept vector somewhere on the simplex?
+    from scipy.optimize import linprog  # deferred: importing it is slow
     pending = [tuple(v) for v in rest]
     pending.sort(reverse=True)
     pending = [np.array(v) for v in pending]
@@ -614,7 +627,7 @@ def solve_grid(model: PomdpModel, grid_points: int = 101,
 
 def solve(model: PomdpModel, mode: str = "auto", grid_points: int = 101,
           alpha_cap: int = 200_000):
-    """Plan one horizon; returns a policy object with .act(belief, slot)."""
+    """Plan one horizon; returns a policy with .act_batch(beliefs, valid, slot)."""
     if mode == "exact":
         return solve_exact(model, alpha_cap=alpha_cap)
     if mode == "grid":

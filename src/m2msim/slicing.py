@@ -34,16 +34,6 @@ class VirtualNetwork:
             raise ValueError("weight must be positive")
 
 
-@dataclass(frozen=True)
-class SliceMetrics:
-    """One slice's period outcome: rate, obtained vs desired share, gap."""
-
-    obtained_rate: float
-    obtained_ratio: float
-    desired_ratio: float
-    gap: float
-
-
 def period_average_rate(slot_rates: Sequence[float], timebase: Timebase) -> float:
     """Average one slice's per-slot aggregate rates over a full period."""
     rates = np.asarray(slot_rates, dtype=float)

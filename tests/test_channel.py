@@ -3,7 +3,7 @@ import pytest
 
 from m2msim.channel import (BUSY, IDLE, CellTopology, RadioParams, RbMarkov,
                             Timebase, dbm_to_watts, evolve_many, evolve_rb,
-                            rate, sample_gain)
+                            rate)
 
 
 def test_dbm_conversion():
@@ -98,12 +98,6 @@ class TestRadio:
         with pytest.raises(ValueError, match="busy_power"):
             RadioParams(bandwidth_per_rb=1e6, tx_power=0.1, noise_power=0.01,
                         busy_power=-1.0)
-
-    def test_gain_is_mean_one_chi_square(self):
-        rng = np.random.default_rng(5)
-        draws = np.array([sample_gain(rng) for _ in range(20_000)])
-        assert np.all(draws >= 0)
-        assert draws.mean() == pytest.approx(1.0, abs=0.03)
 
 
 class TestTimebase:

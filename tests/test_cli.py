@@ -1,9 +1,14 @@
 """End-to-end command tests driven through cli.main with in-process argv."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import m2msim
 from m2msim import cli
 
 
@@ -177,3 +182,11 @@ class TestParsing:
             cli._parse_values("epsilon", "")
         with pytest.raises(ConfigError):
             cli._parse_values("epsilon", "0.1..0.4:-0.1")
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(m2msim.__file__).parents[1]))
+    probe = "import sys, m2msim.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

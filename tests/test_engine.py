@@ -1,9 +1,11 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import PINNED_MARKOV, paired, small_radio, tiny_config
+from m2msim import pomdp
 from m2msim.channel import BUSY, IDLE, CellTopology, Timebase
 from m2msim.controller import ControllerParams
 from m2msim.engine import (ScenarioConfig, Simulation, aggregate_sweep,
@@ -147,6 +149,34 @@ def test_greedy_fast_path_matches_exact_planner():
     assert fast_summary.mean_discounted_reward == slow_summary.mean_discounted_reward
 
 
+@pytest.mark.parametrize("solver_mode", ["grid", "auto"])
+def test_each_slice_width_is_solved_once_per_run(solver_mode, monkeypatch):
+    cfg = tiny_config(
+        topology=CellTopology(total_rbs=6, access_rbs=4, data_rbs=2, devices=6),
+        slices=(VirtualNetwork(slice_id=1, devices=4, access_rbs=2,
+                               data_rbs=0, weight=2.0),
+                VirtualNetwork(slice_id=2, devices=2, access_rbs=2,
+                               data_rbs=0, weight=1.0)),
+        timebase=Timebase(slot_duration=1e-3, slots_per_period=5, periods=6),
+        controller_enabled=True, solver_mode=solver_mode, grid_points=5, seed=2)
+    solved = Counter()
+    real_solve = pomdp.solve
+
+    def counting_solve(model, **kwargs):
+        solved[model.n_rbs] += 1
+        return real_solve(model, **kwargs)
+
+    monkeypatch.setattr(pomdp, "solve", counting_solve)
+    summary = run_simulation(cfg)
+    widths = {row.access_rbs for row in summary.period_rows}
+    assert len(widths) > 1  # the controller moved RBs, so widths changed
+    assert set(solved.values()) == {1}
+    if solver_mode == "grid":
+        assert set(solved) == widths       # one planner per width in use
+    else:
+        assert set(solved) <= widths       # the widest greedy rule serves all
+
+
 def test_belief_carry_over_follows_pool_indices():
     cfg = tiny_config(
         topology=CellTopology(total_rbs=4, access_rbs=4, data_rbs=0, devices=2),
@@ -259,9 +289,23 @@ class TestSweeps:
         rows = run_sweep(self.base, "rbs", [1, 2], seeds=[1, 2, 3])
         assert [(r.axis_value, r.seed) for r in rows] == [
             (1.0, 1), (1.0, 2), (1.0, 3), (2.0, 1), (2.0, 2), (2.0, 3)]
+        assert all(r.config == paired(with_axis_value(self.base, "rbs", r.axis_value),
+                                      seed=r.seed) for r in rows)
         agg = aggregate_sweep(rows)
         assert [a[0] for a in agg] == [1.0, 2.0]
         vals = [r.summary.mean_discounted_reward for r in rows[:3]]
         assert agg[0][1] == pytest.approx(np.mean(vals), rel=1e-12)
         assert agg[0][2] == pytest.approx(
             np.std(vals, ddof=1) / np.sqrt(3), rel=1e-12)
+
+    def test_sweep_runs_through_the_given_map(self):
+        calls = []
+
+        def recording_map(fn, jobs):
+            jobs = list(jobs)
+            calls.append(len(jobs))
+            return map(fn, jobs)
+
+        rows = run_sweep(self.base, "rbs", [1, 2], seeds=[4], map_fn=recording_map)
+        assert calls == [2]
+        assert rows == run_sweep(self.base, "rbs", [1, 2], seeds=[4])

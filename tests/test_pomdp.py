@@ -5,10 +5,9 @@ from conftest import PINNED_MARKOV
 from m2msim.channel import RbMarkov
 from m2msim.pomdp import (SLEEP, BeliefUpdateError, MyopicPolicy,
                           ObservationModel, PomdpModel, SolverCapError,
-                          belief_propagate, belief_update, best_rb_reward,
-                          exhaustive_policy_value, exhaustive_value,
-                          immediate_reward, observe, solve, solve_exact,
-                          solve_grid, total_discounted_reward)
+                          belief_propagate, belief_update,
+                          exhaustive_policy_value, exhaustive_value, observe,
+                          solve, solve_exact, solve_grid, total_discounted_reward)
 
 
 def small_model(n_rbs=2, horizon=3, eps=0.2, phi=None, discount=0.9,
@@ -108,13 +107,6 @@ class TestObserve:
 
 
 class TestRewards:
-    def test_sleep_earns_nothing(self):
-        assert immediate_reward(SLEEP, 5.0) == 0.0
-        assert immediate_reward(2, 5.0) == 5.0
-
-    def test_best_rb(self):
-        assert best_rb_reward([1.0, 3.0, 2.0]) == 3.0
-
     def test_late_slot_weighting(self):
         assert total_discounted_reward((5.0, 7.0, 9.0), 0.0) == 9.0
         assert total_discounted_reward((4.0, 4.0, 4.0), 0.5) == 7.0
@@ -158,6 +150,47 @@ class TestTieBreaks:
                            rate_busy=np.array([0.2, 0.2]))
         policy = MyopicPolicy(model)
         assert policy.act(np.array([0.7, 0.7]), 0) == 1
+
+    def test_myopic_compares_rates_exactly(self):
+        # RB 2's expected rate is higher by a relative 3e-10, inside the
+        # planners' 1e-9 tie band; the greedy rule still prefers it
+        model = PomdpModel(markov=PINNED_MARKOV,
+                           obs=ObservationModel.symmetric(0.1),
+                           horizon=1, discount=1.0,
+                           rate_idle=np.full(2, 4.6e5),
+                           rate_busy=np.full(2, 1.5e5))
+        assert MyopicPolicy(model).act(np.array([0.5, 0.5 - 1e-8]), 0) == 2
+
+
+class TestActBatch:
+    """act_batch over N rows equals act row by row, for every backend."""
+
+    @pytest.mark.parametrize("backend", ["myopic", "exact", "grid"])
+    def test_rows_match_single_acts(self, backend):
+        rng = np.random.default_rng(12)
+        model = small_model(n_rbs=2, horizon=3, eps=0.25, discount=0.8)
+        policy = solve(model, mode=backend, grid_points=21)
+        beliefs = rng.random((30, 2))
+        beliefs[:3] = [[0.5, 0.5], [0.0, 1.0], [1.0, 1.0]]
+        valid = np.ones(beliefs.shape, dtype=bool)
+        for slot in range(model.horizon):
+            got = policy.act_batch(beliefs, valid, slot)
+            assert got.tolist() == [policy.act(b, slot) for b in beliefs]
+
+    def test_myopic_masks_narrower_rows(self):
+        rng = np.random.default_rng(13)
+        widths = np.array([1, 3, 2, 3, 1, 2] * 5)
+        beliefs = rng.random((widths.size, 3))
+        valid = np.arange(3)[None, :] < widths[:, None]
+        beliefs[~valid] = 0.0  # busy now predicts idle next best, so a leak would show
+        uniform = {w: MyopicPolicy(PomdpModel(
+            markov=PINNED_MARKOV, obs=ObservationModel.symmetric(0.2),
+            horizon=3, discount=0.7, rate_idle=np.full(w, 4.6e5),
+            rate_busy=np.full(w, 1.5e5))) for w in (1, 2, 3)}
+        for slot in range(3):
+            got = uniform[3].act_batch(beliefs, valid, slot)
+            want = [uniform[w].act(b[:w], slot) for b, w in zip(beliefs, widths)]
+            assert got.tolist() == want
 
 
 class TestSolvers:
