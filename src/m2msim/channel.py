@@ -4,12 +4,14 @@ Each resource block (RB) is an independent two-state Markov chain over
 {idle, busy} that steps once per slot.  A transmitting device sees a
 chi-square fading power gain (squared unit normal, mean 1) and achieves a
 Shannon rate against the summed interference it experiences on its RB.
+`rate` is that law, vectorised over devices; the simulator's slot rates and
+its mean-gain planning rates both call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -127,33 +129,21 @@ class CellTopology:
 
 
 def evolve_rb(state: int, markov: RbMarkov, rng: np.random.Generator) -> int:
-    """Draw the next occupancy state of one RB."""
-    if state == IDLE:
-        return IDLE if rng.random() < markov.p_idle_idle else BUSY
-    return IDLE if rng.random() < markov.p_busy_idle else BUSY
+    """Draw the next occupancy state of one RB: evolve_many's one-RB case."""
+    return int(evolve_many(state, markov, rng.random()))
 
 
 def evolve_many(states: np.ndarray, markov: RbMarkov, uniforms: np.ndarray) -> np.ndarray:
-    """Vectorised evolve_rb: one uniform draw per RB, supplied by the caller."""
+    """Next occupancy of each RB: one uniform draw per RB, supplied by the caller."""
     p_idle = np.where(states == IDLE, markov.p_idle_idle, markov.p_busy_idle)
     return np.where(uniforms < p_idle, IDLE, BUSY)
 
 
-def rate(own_gain: float,
-         interferers: Iterable[Tuple[float, float]],
-         params: RadioParams) -> float:
-    """Shannon rate in bit/s for one device on one RB.
+def rate(own_power, interference, radio: RadioParams):
+    """Shannon rate in bit/s: B log2(1 + own / (interference + N0)).
 
-    interferers is a list of (tx_power, gain) pairs received on the same RB;
-    an empty list is the clean-channel case.  The same expression covers both:
-    the denominator is noise plus the summed interference power.
+    own_power and interference are received powers in watts, scalars or
+    arrays of one entry per transmitting device; interference is everything
+    else heard on the device's RB, 0 on a clean channel.
     """
-    if own_gain < 0:
-        raise ValueError("own_gain must be non-negative")
-    interference = 0.0
-    for power, gain in interferers:
-        if power < 0 or gain < 0:
-            raise ValueError("interferer power and gain must be non-negative")
-        interference += power * gain
-    sinr = params.tx_power * own_gain / (interference + params.noise_power)
-    return params.bandwidth_per_rb * np.log2(1.0 + sinr)
+    return radio.bandwidth_per_rb * np.log2(1.0 + own_power / (interference + radio.noise_power))

@@ -24,7 +24,7 @@ import numpy as np
 from . import controller as ctrl
 from . import pomdp, slicing
 from .channel import (BUSY, IDLE, CellTopology, RadioParams, RbMarkov,
-                      Timebase, evolve_many)
+                      Timebase, evolve_many, rate)
 from .pomdp import ObservationModel, PomdpModel
 from .slicing import VirtualNetwork
 
@@ -117,26 +117,10 @@ class RunSummary:
     slot_records: List[SlotRecord] = field(default_factory=list)
 
 
-def _posterior(prior: np.ndarray, saw_idle: np.ndarray, trust: float) -> np.ndarray:
-    """Idle probabilities after readings that flip with probability trust."""
-    # in place: at scale each (devices, width) temporary costs peak memory
-    joint_idle = np.where(saw_idle, 1.0 - trust, trust)
-    joint_idle *= prior
-    denom = np.where(saw_idle, trust, 1.0 - trust)
-    denom *= 1.0 - prior
-    denom += joint_idle
-    # a zero-likelihood reading cannot steer the belief; keep the prior there
-    steered = denom > 0.0
-    posterior = np.divide(joint_idle, denom, out=joint_idle, where=steered)
-    np.copyto(posterior, prior, where=~steered)
-    return posterior
-
-
 def planning_rates(radio: RadioParams) -> Tuple[float, float]:
     """Mean-gain planning rates on an idle / busy RB (one busy-source interferer)."""
-    p, n = radio.tx_power, radio.noise_power
-    idle = radio.bandwidth_per_rb * np.log2(1.0 + p / n)
-    busy = radio.bandwidth_per_rb * np.log2(1.0 + p / (radio.effective_busy_power + n))
+    idle = rate(radio.tx_power, 0.0, radio)
+    busy = rate(radio.tx_power, radio.effective_busy_power, radio)
     return float(idle), float(busy)
 
 
@@ -237,8 +221,7 @@ class Simulation:
         busy = self._busy_power
         np.multiply(self.rb_states == BUSY, cfg.radio.effective_busy_power * bg_gain,
                     out=busy[:self.pool])
-        sinr = own / (heard[rb] - own + busy[rb] + cfg.radio.noise_power)
-        rates = cfg.radio.bandwidth_per_rb * np.log2(1.0 + sinr)
+        rates = rate(own, heard[rb] - own + busy[rb], cfg.radio)
         if cfg.hard_collision:
             accessing = accessing & (np.bincount(rb, minlength=self.pool + 1)[rb] == 1)
         rates = np.where(accessing, rates, 0.0)
@@ -284,23 +267,16 @@ class Simulation:
                           predicted: np.ndarray, idle_now: np.ndarray) -> np.ndarray:
         """Per-device noisy readings of their slice's RBs, then Bayes step;
         returns where each device read idle."""
-        obs, heard_all = self.config.obs, self.config.sleep_sensing
-        # readings flip with probability phi, the accessed RB's with epsilon;
-        # the accessed entries are redone only where that changes them
-        rows = np.flatnonzero(actions > 0)
-        cols = actions[rows] - 1
+        obs = self.config.obs
+        # readings flip with probability phi, the accessed RB's with epsilon
         u = obs_u[:, :self.beliefs.shape[1]]
         saw_idle = idle_now ^ (u < obs.phi)
         if obs.epsilon != obs.phi:
+            rows = np.flatnonzero(actions > 0)
+            cols = actions[rows] - 1
             saw_idle[rows, cols] = idle_now[rows, cols] ^ (u[rows, cols] < obs.epsilon)
-        if heard_all:
-            posterior = _posterior(predicted, saw_idle, obs.trusted_phi)
-        else:
-            posterior = predicted.copy()    # only the accessed RB is heard
-        if obs.trusted_epsilon != obs.trusted_phi or not heard_all:
-            posterior[rows, cols] = _posterior(predicted[rows, cols], saw_idle[rows, cols],
-                                               obs.trusted_epsilon)
-        self.beliefs = posterior * self._belief_mask
+        self.beliefs = pomdp.bayes_update(predicted, actions, saw_idle, obs,
+                                          self.config.sleep_sensing) * self._belief_mask
         return saw_idle
 
     def _record(self, slot, actions, rb_global, rates, rewards, saw_idle):

@@ -12,7 +12,9 @@ device of the slice draws from it, so devices with the same beliefs spread
 instead of colliding.  Observations are per-RB busy/idle readings flipped
 with probability epsilon on the accessed RB and phi elsewhere.
 
-Readings rated worse than chance carry no evidence: the belief update and the
+`bayes_update` is the Bayes step the simulator runs for all devices at once;
+`belief_update` is its one-row case after one prediction step.  Readings
+rated worse than chance carry no evidence: the belief update and the
 solvers weight a reading with flip probability min(p, 0.5).  A device has no
 grounds to treat a mostly-wrong sensor as an inverted oracle, so sensing value
 degrades monotonically as the flip probability grows instead of rebounding
@@ -153,9 +155,47 @@ def belief_propagate(belief: np.ndarray, markov: RbMarkov) -> np.ndarray:
     return b * markov.p_idle_idle + (1.0 - b) * markov.p_busy_idle
 
 
+def _posterior(prior: np.ndarray, saw_idle: np.ndarray, trust: float) -> np.ndarray:
+    """Idle probabilities after readings that flip with probability trust."""
+    # in place: at scale each (devices, width) temporary costs peak memory
+    joint_idle = np.where(saw_idle, 1.0 - trust, trust)
+    joint_idle *= prior
+    denom = np.where(saw_idle, trust, 1.0 - trust)
+    denom *= 1.0 - prior
+    denom += joint_idle
+    # a zero-likelihood reading cannot steer the belief; keep the prior there
+    steered = denom > 0.0
+    posterior = np.divide(joint_idle, denom, out=joint_idle, where=steered)
+    np.copyto(posterior, prior, where=~steered)
+    return posterior
+
+
+def bayes_update(predicted: np.ndarray, actions: np.ndarray, saw_idle: np.ndarray,
+                 obs_model: ObservationModel, sleep_sensing: bool = True) -> np.ndarray:
+    """Bayes step of N devices' per-RB idle probabilities after one slot's readings.
+
+    predicted (N, R) holds the propagated beliefs, saw_idle (N, R) where each
+    reading said idle, actions (N,) 0 to sleep or r to access column r - 1.
+    Readings are weighed at the trusted phi, the accessed one at the trusted
+    epsilon; without sleep_sensing only the accessed RB is heard and the
+    others keep their prediction.  A zero-likelihood reading keeps the prior.
+    """
+    if sleep_sensing:
+        posterior = _posterior(predicted, saw_idle, obs_model.trusted_phi)
+    else:
+        posterior = predicted.copy()    # only the accessed RB is heard
+    # the accessed entries are redone only where that changes them
+    if obs_model.trusted_epsilon != obs_model.trusted_phi or not sleep_sensing:
+        rows = np.flatnonzero(actions > 0)
+        cols = actions[rows] - 1
+        posterior[rows, cols] = _posterior(predicted[rows, cols], saw_idle[rows, cols],
+                                           obs_model.trusted_epsilon)
+    return posterior
+
+
 def belief_update(belief: np.ndarray, action: int, observation: np.ndarray,
                   markov: RbMarkov, obs_model: ObservationModel) -> np.ndarray:
-    """Bayes update of the per-RB idle probabilities.
+    """One device's prediction step, then `bayes_update` as its one-row case.
 
     observation holds one reading per RB: 0 idle, 1 busy, -1 not sensed
     (entries the device did not hear are advanced by the prior alone).
@@ -166,19 +206,14 @@ def belief_update(belief: np.ndarray, action: int, observation: np.ndarray,
     if obs.shape != b.shape:
         raise ValueError("observation and belief must have the same length")
     m = belief_propagate(b, markov)
-    flip = np.full(b.shape, obs_model.trusted_phi)
-    if action != SLEEP:
-        flip[action - 1] = obs_model.trusted_epsilon
-    saw_idle = obs == 0
-    like_idle = np.where(saw_idle, 1.0 - flip, flip)
-    like_busy = np.where(saw_idle, flip, 1.0 - flip)
-    denom = m * like_idle + (1.0 - m) * like_busy
-    sensed = obs >= 0
-    if np.any(denom[sensed] <= 0.0):
+    saw_idle, sensed = obs == 0, obs >= 0
+    flip = np.where(np.arange(b.size) == action - 1,
+                    obs_model.trusted_epsilon, obs_model.trusted_phi)
+    # zero likelihood takes a sensor that cannot err reading a state ruled out
+    if np.any(sensed & (flip == 0.0) & (m == np.where(saw_idle, 0.0, 1.0))):
         raise BeliefUpdateError("observation impossible under the model")
-    out = m.copy()
-    out[sensed] = m[sensed] * like_idle[sensed] / denom[sensed]
-    return out
+    out = bayes_update(m[None, :], np.array([action]), saw_idle[None, :], obs_model)[0]
+    return np.where(sensed, out, m)
 
 
 def observe(true_state: int, flip_prob: float, rng: np.random.Generator) -> int:
@@ -230,6 +265,14 @@ def _obs_branches(model: PomdpModel, action: int) -> List[Tuple[np.ndarray, np.n
                 lb[rb] = flip[rb]
         branches.append((li, lb))
     return branches
+
+
+def _branch_step(m: np.ndarray, li: np.ndarray, lb: np.ndarray):
+    """Probability of one branch at predicted beliefs m (..., R), and the
+    posterior it leads to; entries of zero likelihood keep the prediction."""
+    d = m * li + (1.0 - m) * lb
+    safe = np.where(d > 0.0, d, 1.0)
+    return np.prod(d, axis=-1), np.where(d > 0.0, m * li / safe, m)
 
 
 def _predicted_rates(model: PomdpModel, beliefs: np.ndarray) -> np.ndarray:
@@ -838,10 +881,7 @@ def _grid_action_values(model: PomdpModel, beliefs: np.ndarray, slot: int,
     for a in range(n + 1):
         future = np.zeros(n_pts)
         for li, lb in _obs_branches(model, a):
-            d = m * li + (1.0 - m) * lb
-            prob = np.prod(d, axis=1)
-            safe = np.where(d > 0.0, d, 1.0)
-            post = np.where(d > 0.0, m * li / safe, m)
+            prob, post = _branch_step(m, li, lb)
             idx = np.rint(post * (grid_points - 1)).astype(np.intp)
             future += prob * next_table[tuple(idx.T)]
         q[:, a] = future if a == SLEEP else w * pred[:, a - 1] + future
@@ -908,10 +948,7 @@ def exhaustive_value(model: PomdpModel, beliefs: np.ndarray) -> np.ndarray:
         info = []
         for a in actions:
             for li, lb in branches[a]:
-                d = m * li + (1.0 - m) * lb
-                prob = np.prod(d, axis=1)
-                safe = np.where(d > 0.0, d, 1.0)
-                post = np.where(d > 0.0, m * li / safe, m)
+                prob, post = _branch_step(m, li, lb)
                 blocks.append(post)
                 info.append((a, prob))
         levels.append(np.concatenate(blocks, axis=0))
@@ -955,12 +992,9 @@ def exhaustive_policy_value(model: PomdpModel, belief: np.ndarray, policy) -> fl
             pred = m[a - 1] * model.rate_idle[a - 1] + (1 - m[a - 1]) * model.rate_busy[a - 1]
             total = model.slot_weight(k) * pred
         for li, lb in _obs_branches(model, a):
-            d = m * li + (1.0 - m) * lb
-            prob = float(np.prod(d))
-            if prob <= 0.0:
-                continue
-            post = m * li / np.where(d > 0.0, d, 1.0)
-            total += prob * recurse(post, k + 1)
+            prob, post = _branch_step(m, li, lb)
+            if prob > 0.0:
+                total += prob * recurse(post, k + 1)
         return total
 
     return recurse(np.asarray(belief, dtype=float), 0)

@@ -8,18 +8,12 @@ behavior" section explains the mechanism.
 """
 
 import dataclasses
-import io
 import time
 
 import numpy as np
-import pytest
 
 from m2msim import cli, load_config
-from m2msim.channel import RbMarkov
-from m2msim.controller import ControllerParams, closed_loop_reference
 from m2msim.engine import run_simulation, with_axis_value
-from m2msim.pomdp import (ObservationModel, PomdpModel, belief_propagate,
-                          belief_update, exhaustive_value, solve_exact)
 
 SEEDS = tuple(range(1, 11))
 
@@ -28,112 +22,38 @@ def _report(name: str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
 
 
+def _gate(name: str, check: str, time_bound: float = np.inf) -> None:
+    """Run the `m2msim verify` check that encodes this gate's property."""
+    t0 = time.perf_counter()
+    ok, detail = cli.VERIFY_CHECKS[check]()
+    elapsed = time.perf_counter() - t0
+    _report(name, ok and elapsed < time_bound, f"{detail} [{elapsed:.2f}s]")
+    assert elapsed < time_bound
+    assert ok, detail
+
+
 def _seed_mean_rewards(cfg) -> np.ndarray:
     return np.array([run_simulation(dataclasses.replace(cfg, seed=s)).mean_discounted_reward
                      for s in SEEDS])
 
 
 def test_exact_solver_matches_exhaustive_enumeration():
-    """Alpha-vector backward induction equals brute-force tree expansion.
-
-    Every instance small enough to enumerate: 1 or 2 RBs, horizons 1 to 4,
-    sensing flip rates 0 to 0.5, late-slot emphasis 0 to 1, at 25 sampled
-    beliefs each, agreeing to 1e-9.
-    """
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(2026)
-    markov = RbMarkov(0.9, 0.1, 0.95, 0.05)
-    worst, count = 0.0, 0
-    for n in (1, 2):
-        beliefs = rng.random((25, n))
-        for horizon in (1, 2, 3, 4):
-            for eps in (0.0, 0.1, 0.3, 0.5):
-                for beta in (0.0, 0.5, 1.0):
-                    model = PomdpModel(markov=markov,
-                                       obs=ObservationModel.symmetric(eps),
-                                       horizon=horizon, discount=beta,
-                                       rate_idle=np.linspace(1.0, 1.5, n),
-                                       rate_busy=np.linspace(0.2, 0.3, n))
-                    reference = exhaustive_value(model, beliefs)
-                    policy = solve_exact(model)
-                    got = np.array([policy.value(b) for b in beliefs])
-                    worst = max(worst, float(np.max(np.abs(got - reference))))
-                    count += 1
-    elapsed = time.perf_counter() - t0
-    ok = worst < 1e-9 and elapsed < 10.0
-    _report("solver-oracle", ok,
-            f"{count} instances, max |solver - enumeration| {worst:.3e} "
-            f"(bound 1e-9) [{elapsed:.2f}s]")
-    assert elapsed < 10.0
-    assert worst < 1e-9
+    """Alpha-vector backward induction equals brute-force tree expansion on
+    every instance small enough to enumerate, to 1e-9, within 10 s."""
+    _gate("solver-oracle", "pomdp-oracle", time_bound=10.0)
 
 
 def test_belief_updates_stay_valid_and_match_propagation_at_chance_level():
-    """10^4 random update steps keep beliefs in [0, 1]; flip rate 0.5 updates
-    equal pure Markov propagation exactly, bit for bit."""
-    t0 = time.perf_counter()
-    markov = RbMarkov(0.9, 0.1, 0.95, 0.05)
-    rng = np.random.default_rng(31)
-    n = 4
-
-    belief = rng.random(n)
-    lo, hi = 1.0, 0.0
-    for _ in range(10_000):
-        obs_model = ObservationModel.symmetric(float(rng.uniform(0.0, 1.0)))
-        action = int(rng.integers(0, n + 1))
-        obs = rng.integers(0, 2, size=n)
-        belief = belief_update(belief, action, obs, markov, obs_model)
-        lo = min(lo, float(belief.min()))
-        hi = max(hi, float(belief.max()))
-    bounds_ok = 0.0 <= lo and hi <= 1.0
-
-    chance = ObservationModel.symmetric(0.5)
-    belief = rng.random(n)
-    exact_matches = 0
-    for _ in range(10_000):
-        obs = rng.integers(0, 2, size=n)
-        updated = belief_update(belief, 1, obs, markov, chance)
-        exact_matches += int(np.array_equal(updated, belief_propagate(belief, markov)))
-        belief = updated
-    elapsed = time.perf_counter() - t0
-
-    ok = bounds_ok and exact_matches == 10_000
-    _report("belief-validity", ok,
-            f"range [{lo:.6f}, {hi:.6f}] over 10^4 noisy steps; "
-            f"{exact_matches}/10000 chance-level steps identical to propagation "
-            f"[{elapsed:.2f}s]")
-    assert bounds_ok
-    assert exact_matches == 10_000
+    """Random update steps keep beliefs in [0, 1]; flip rate 0.5 updates equal
+    pure Markov propagation bit for bit.  `belief_update` is the one-row
+    case of the engine's batched Bayes step."""
+    _gate("belief-validity", "belief")
 
 
 def test_controller_deadbeat_tracking_on_frozen_plant():
-    """On the linear reference plant a target step is absorbed after exactly
-    one period: the first post-step gap is large, every later gap < 1e-9."""
-    t0 = time.perf_counter()
-    periods, step_at = 12, 3
-    worst_after, smallest_at_step = 0.0, np.inf
-    for n in (2, 5):
-        for omega in (0.5, 0.8):
-            for mu in (1.0, 2.0):
-                params = ControllerParams(omega=omega, mu=mu)
-                before = np.full(n, 1.0 / n)
-                after = np.arange(1, n + 1, dtype=float)
-                after /= after.sum()
-                targets = np.vstack([np.tile(before, (step_at, 1)),
-                                     np.tile(after, (periods - step_at, 1))])
-                initial = 1.0 + np.arange(n, dtype=float)
-                ref = closed_loop_reference(params, initial, targets)
-                gap = np.abs(ref["gap"])
-                worst_after = max(worst_after, float(gap[step_at + 1:].max()))
-                smallest_at_step = min(smallest_at_step, float(gap[step_at].max()))
-    elapsed = time.perf_counter() - t0
-    ok = worst_after < 1e-9 and smallest_at_step > 1e-3 and elapsed < 1.0
-    _report("deadbeat-control", ok,
-            f"max residual gap {worst_after:.3e} (bound 1e-9), "
-            f"step-period gap {smallest_at_step:.3e} [{elapsed:.2f}s]")
-    assert elapsed < 1.0
-    assert smallest_at_step > 1e-3
-    assert worst_after < 1e-9
+    """A target step on the linear reference plant is absorbed after exactly
+    one period, within 1 s."""
+    _gate("deadbeat-control", "deadbeat", time_bound=1.0)
 
 
 def test_reward_improves_with_rb_budget_and_policy_ordering():
@@ -221,46 +141,10 @@ def test_reward_degrades_gracefully_with_sensing_noise():
     assert ratio >= threshold
 
 
-def test_resource_conservation_and_run_determinism(tmp_path):
-    """Every period keeps the cell covered: the slice allocations never exceed
-    the access pool, the data share absorbs whatever the integer layer
-    releases and never dips below its configured floor, share errors cancel
-    to 1e-9, and a repeated seeded command reproduces its CSVs byte for
-    byte."""
-    t0 = time.perf_counter()
-    worst_gap_sum = 0.0
-    for profile in ("five-slice", "two-slice"):
-        cfg = load_config(profile)
-        pool = cfg.topology.access_rbs
-        assert pool + cfg.topology.data_rbs == cfg.topology.total_rbs
-        for seed in (1, 2, 3):
-            summary = run_simulation(dataclasses.replace(cfg, seed=seed))
-            by_period = {}
-            for row in summary.period_rows:
-                by_period.setdefault(row.period, []).append(row)
-            for rows in by_period.values():
-                worst_gap_sum = max(worst_gap_sum, abs(sum(r.gap for r in rows)))
-                access_total = sum(r.access_rbs for r in rows)
-                assert access_total <= pool
-                assert all(1 <= r.access_rbs <= pool for r in rows)
-                data_now = cfg.topology.total_rbs - access_total
-                assert data_now >= cfg.topology.data_rbs
-
-    args = ["run", "--config", "two-slice", "--set", "timebase.periods=6",
-            "--seed", "11"]
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert cli.main([*args, "--out", str(a)]) == 0
-    assert cli.main([*args, "--out", str(b)]) == 0
-    identical = all((a / name).read_bytes() == (b / name).read_bytes()
-                    for name in ("periods.csv", "summary.csv"))
-    elapsed = time.perf_counter() - t0
-
-    ok = worst_gap_sum < 1e-9 and identical
-    _report("conservation-determinism", ok,
-            f"max |sum of share errors| {worst_gap_sum:.3e} (bound 1e-9), "
-            f"byte-identical rerun={identical} [{elapsed:.1f}s]")
-    assert worst_gap_sum < 1e-9
-    assert identical
+def test_resource_conservation_and_run_determinism():
+    """Every period keeps the cell covered and share errors cancel; a repeated
+    seeded command reproduces its CSVs byte for byte."""
+    _gate("conservation-determinism", "determinism")
 
 
 def test_two_slice_allocation_converges_to_weight_ratio():

@@ -70,20 +70,14 @@ class TestRadio:
     def test_rate_formula(self):
         params = RadioParams(bandwidth_per_rb=1e6, tx_power=0.1,
                              noise_power=0.01)
-        clean = rate(1.0, [], params)
+        clean = rate(0.1, 0.0, params)
         assert clean == pytest.approx(1e6 * np.log2(1 + 10.0), rel=1e-12)
-        jammed = rate(1.0, [(0.1, 2.0)], params)
+        jammed = rate(0.1, 0.1 * 2.0, params)
         assert jammed == pytest.approx(
             1e6 * np.log2(1 + 0.1 / (0.2 + 0.01)), rel=1e-12)
         assert jammed < clean
-
-    def test_rate_rejects_negative_gain(self):
-        params = RadioParams(bandwidth_per_rb=1e6, tx_power=0.1,
-                             noise_power=0.01)
-        with pytest.raises(ValueError):
-            rate(-1.0, [], params)
-        with pytest.raises(ValueError):
-            rate(1.0, [(0.1, -2.0)], params)
+        per_device = rate(np.array([0.1, 0.1, 0.0]), np.array([0.0, 0.2, 0.2]), params)
+        assert np.array_equal(per_device, [clean, jammed, 0.0])
 
     def test_busy_power_defaults_to_tx_power(self):
         p = RadioParams(bandwidth_per_rb=1e6, tx_power=0.1, noise_power=0.01)

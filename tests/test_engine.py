@@ -41,14 +41,16 @@ def test_uninformative_sensing_draws_the_random_arms_rbs():
             == [r.action for r in blind.slot_records])
 
 
-def test_two_devices_interfere_on_shared_rb():
-    """Hand-recompute one slot from the run's own random streams."""
+def _one_rb_slot(devices, **overrides):
+    """Run one slot of `devices` random-arm devices on one RB; return the slot
+    records by device and each device's SINR rate recomputed by hand from the
+    run's own random streams."""
     cfg = tiny_config(
-        topology=CellTopology(total_rbs=1, access_rbs=1, data_rbs=0, devices=2),
-        slices=(VirtualNetwork(slice_id=1, devices=2, access_rbs=1,
+        topology=CellTopology(total_rbs=1, access_rbs=1, data_rbs=0, devices=devices),
+        slices=(VirtualNetwork(slice_id=1, devices=devices, access_rbs=1,
                                data_rbs=0, weight=1.0),),
         timebase=Timebase(slot_duration=1e-3, slots_per_period=1, periods=1),
-        policy_mode="random", discount=1.0, seed=42)
+        policy_mode="random", discount=1.0, seed=42, **overrides)
     summary = run_simulation(cfg, record_slots=True)
 
     seq = np.random.SeedSequence(42).spawn(5)
@@ -56,7 +58,7 @@ def test_two_devices_interfere_on_shared_rb():
     start = np.where(state_rng.random(1) < PINNED_MARKOV.stationary_idle(),
                      IDLE, BUSY)
     state_u = state_rng.random(1)
-    own = gain_rng.standard_normal(2) ** 2
+    own = gain_rng.standard_normal(devices) ** 2
     bg = bg_rng.standard_normal(1) ** 2
     p_idle = PINNED_MARKOV.p_idle_idle if start[0] == IDLE else PINNED_MARKOV.p_busy_idle
     state = IDLE if state_u[0] < p_idle else BUSY
@@ -65,15 +67,29 @@ def test_two_devices_interfere_on_shared_rb():
     extra = p * bg[0] if state == BUSY else 0.0
     expected = [
         cfg.radio.bandwidth_per_rb
-        * np.log2(1 + p * own[i] / (p * own[1 - i] + extra + noise))
-        for i in range(2)]
-
+        * np.log2(1 + p * own[i] / (p * (own.sum() - own[i]) + extra + noise))
+        for i in range(devices)]
     by_device = {r.device: r for r in summary.slot_records}
-    assert all(by_device[i].action == 1 for i in range(2))
+    assert all(by_device[i].action == 1 and by_device[i].rb_state == state
+               for i in range(devices))
+    return by_device, expected
+
+
+def test_two_devices_interfere_on_shared_rb():
+    by_device, expected = _one_rb_slot(2)
     for i in range(2):
-        assert by_device[i].rb_state == state
         assert by_device[i].rate == pytest.approx(expected[i], rel=1e-12)
         assert by_device[i].reward == by_device[i].rate
+
+
+def test_hard_collision_zeroes_shared_rbs_only():
+    """With hard_collision, two accessors of one RB both earn nothing, while
+    a lone accessor keeps its SINR rate."""
+    shared, _ = _one_rb_slot(2, hard_collision=True)
+    assert all(shared[i].rate == 0.0 and shared[i].reward == 0.0 for i in range(2))
+    alone, expected = _one_rb_slot(1, hard_collision=True)
+    assert alone[0].rate == pytest.approx(expected[0], rel=1e-12)
+    assert alone[0].rate > 0.0 and alone[0].reward == alone[0].rate
 
 
 def test_single_rb_budget_admits_no_choice():

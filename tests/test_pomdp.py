@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import PINNED_MARKOV, small_radio
+from m2msim import cli, pomdp
 from m2msim.channel import RbMarkov
 from m2msim.pomdp import (SLEEP, BeliefUpdateError, MyopicPolicy,
                           ObservationModel, PomdpModel, SliceAccess,
@@ -43,6 +44,11 @@ class TestBeliefs:
         post_busy = belief_update(np.array([0.6]), 1, np.array([1]),
                                   PINNED_MARKOV, obs_model)
         assert post_busy[0] < m < post_idle[0]
+        # the accessed RB's reading is weighed at epsilon, the others' at phi
+        post = belief_update(np.array([0.6, 0.6]), 2, np.array([0, 0]),
+                             PINNED_MARKOV, ObservationModel(0.1, 0.3))
+        assert post[0] == pytest.approx(m * 0.7 / (m * 0.7 + (1 - m) * 0.3), abs=1e-15)
+        assert post[1] == pytest.approx(expected, abs=1e-15)
 
     def test_chance_level_equals_propagation_exactly(self):
         rng = np.random.default_rng(2)
@@ -93,6 +99,29 @@ class TestBeliefs:
         assert ObservationModel.symmetric(0.8).trusted_epsilon == 0.5
 
 
+@pytest.mark.parametrize("sleep_sensing", [True, False])
+@pytest.mark.parametrize("eps, phi", [(0.2, 0.2), (0.1, 0.3), (0.3, 0.0),
+                                      (0.8, 0.2), (0.1, 0.7)])
+def test_bayes_update_rows_match_belief_update(eps, phi, sleep_sensing):
+    """The engine's batched Bayes step equals `belief_update` row by row, bit
+    for bit, for sleepers and accessors; flip rates past 0.5 are capped."""
+    rng = np.random.default_rng(5)
+    obs_model = ObservationModel(eps, phi)
+    n, width = 200, 4
+    for markov in (PINNED_MARKOV, RbMarkov(0.3, 0.7, 0.6, 0.4)):
+        beliefs = rng.random((n, width))
+        actions = rng.integers(0, width + 1, size=n)
+        saw_idle = rng.random((n, width)) < 0.5
+        batched = pomdp.bayes_update(belief_propagate(beliefs, markov), actions,
+                                     saw_idle, obs_model, sleep_sensing)
+        readings = np.where(saw_idle, 0, 1)
+        if not sleep_sensing:
+            readings[np.arange(width) != actions[:, None] - 1] = -1
+        rows = np.array([belief_update(beliefs[i], actions[i], readings[i],
+                                       markov, obs_model) for i in range(n)])
+        assert np.array_equal(batched, rows)
+
+
 class TestObserve:
     def test_flip_extremes(self):
         rng = np.random.default_rng(1)
@@ -108,9 +137,8 @@ class TestObserve:
 
 class TestRewards:
     def test_late_slot_weighting(self):
-        assert total_discounted_reward((5.0, 7.0, 9.0), 0.0) == 9.0
-        assert total_discounted_reward((4.0, 4.0, 4.0), 0.5) == 7.0
-        assert total_discounted_reward((5.0, 7.0, 9.0), 1.0) == 21.0
+        ok, detail = cli.VERIFY_CHECKS["discount"]()
+        assert ok, detail
 
     def test_zero_discount_keeps_only_last_slot(self):
         assert total_discounted_reward((100.0,), 0.0) == 100.0
