@@ -46,8 +46,7 @@ PERIOD_HEADER = ["period", "slice", "C_l", "Q_l", "xi_l", "xi_star_l", "e_l",
                  "delta_R_raw", "delta_R_applied", "R_l"]
 SUMMARY_HEADER = ["run_id", "seed", "axis_value",
                   "mean_discounted_reward", "final_max_abs_gap"]
-SLOT_HEADER = ["period", "slot", "slice", "device", "action", "rb_global",
-               "rb_state", "observation", "rate", "reward"]
+SLOT_HEADER = [*engine.SLOT_RECORD.names, "reward"]   # reward repeats the rate
 AGG_HEADER = ["axis_value", "mean", "stderr"]
 
 
@@ -83,10 +82,10 @@ def _period_rows(summary: engine.RunSummary) -> List[List]:
              r.delta_applied, r.access_rbs] for r in summary.period_rows]
 
 
-def _slot_rows(summary: engine.RunSummary) -> List[List]:
-    return [[r.period, r.slot, r.slice_id, r.device, r.action, r.rb_global,
-             r.rb_state, r.observation, _fmt(r.rate), _fmt(r.reward)]
-            for r in summary.slot_records]
+def _slot_rows(summary: engine.RunSummary) -> Iterable[List]:
+    for *fields, rate in summary.slot_records.tolist():
+        rate = _fmt(rate)
+        yield [*fields, rate, rate]
 
 
 # -- run ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ comparisons tight, and a repeated run reproduces its output exactly.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,18 +78,12 @@ class ScenarioConfig:
             raise ValueError("grid_points must be >= 2")
 
 
-@dataclass(frozen=True)
-class SlotRecord:
-    period: int
-    slot: int
-    slice_id: int
-    device: int
-    action: int          # 0 sleep, r >= 1 access the slice's r-th RB
-    rb_global: int       # pool index of the accessed RB, -1 when sleeping
-    rb_state: int        # occupancy of that RB during the slot, -1 when sleeping
-    observation: int     # the device's reading of that RB, -1 when sleeping
-    rate: float
-    reward: float
+# One device-slot, named as slots.csv's columns but for reward, which repeats
+# the rate.  action is 0 (sleep) or r >= 1 (the slice's r-th RB); a sleeper
+# reads -1 in rb_global (pool index), rb_state and observation (its reading).
+SLOT_RECORD = np.dtype([(name, np.int64) for name in (
+    "period", "slot", "slice", "device", "action", "rb_global", "rb_state",
+    "observation")] + [("rate", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -108,13 +102,15 @@ class PeriodRow:
 
 @dataclass
 class RunSummary:
+    """One run's results.  mean_discounted_reward is the mean over periods of
+    the device mean horizon total; slot_records is one SLOT_RECORD per
+    device-slot (by period, slot, device) when slots are recorded, else None."""
+
     seed: int
     mean_discounted_reward: float
     final_max_abs_gap: float
     period_rows: List[PeriodRow]
-    period_mean_rewards: List[float]   # per-period device mean of the horizon total
-    final_allocation: List[int]
-    slot_records: List[SlotRecord] = field(default_factory=list)
+    slot_records: Optional[np.ndarray] = None
 
 
 def planning_rates(radio: RadioParams) -> Tuple[float, float]:
@@ -171,7 +167,7 @@ class Simulation:
 
         self.period_rows: List[PeriodRow] = []
         self.period_mean_rewards: List[float] = []
-        self.slot_records: List[SlotRecord] = []
+        self._slot_blocks: List[np.ndarray] = []
         self._final_gap = np.zeros(self.n_slices)
 
     # -- policies and block layout ------------------------------------------
@@ -226,18 +222,14 @@ class Simulation:
             accessing = accessing & (np.bincount(rb, minlength=self.pool + 1)[rb] == 1)
         rates = np.where(accessing, rates, 0.0)
 
-        rewards = rates  # sleeping devices already sit at zero
-
         saw_idle = self._sense_and_update(actions, obs_u, predicted, idle_now)
 
         slice_rates = np.bincount(self.device_slice, weights=rates,
                                   minlength=self.n_slices)
 
         if self.record_slots:
-            rb_global = np.where(actions > 0, rb, -1)
-            self._record(slot, actions, rb_global, rates, rewards, saw_idle)
-        return {"rates": rates, "rewards": rewards, "slice_rates": slice_rates,
-                "actions": actions}
+            self._record(slot, actions, rb, rates, saw_idle)
+        return {"rates": rates, "slice_rates": slice_rates, "actions": actions}
 
     def _choose_actions(self, slot: int, policy_u: np.ndarray,
                         predicted: np.ndarray, idle_now: np.ndarray) -> np.ndarray:
@@ -270,28 +262,32 @@ class Simulation:
         obs = self.config.obs
         # readings flip with probability phi, the accessed RB's with epsilon
         u = obs_u[:, :self.beliefs.shape[1]]
-        saw_idle = idle_now ^ (u < obs.phi)
+        saw_idle = pomdp.reading(idle_now, u, obs.phi)
         if obs.epsilon != obs.phi:
             rows = np.flatnonzero(actions > 0)
             cols = actions[rows] - 1
-            saw_idle[rows, cols] = idle_now[rows, cols] ^ (u[rows, cols] < obs.epsilon)
+            saw_idle[rows, cols] = pomdp.reading(idle_now[rows, cols], u[rows, cols],
+                                                 obs.epsilon)
         self.beliefs = pomdp.bayes_update(predicted, actions, saw_idle, obs,
                                           self.config.sleep_sensing) * self._belief_mask
         return saw_idle
 
-    def _record(self, slot, actions, rb_global, rates, rewards, saw_idle):
-        cfg = self.config
-        theta = np.where(saw_idle, IDLE, BUSY)
-        for dev in range(self.n_devices):
-            a = int(actions[dev])
-            g = int(rb_global[dev])
-            self.slot_records.append(SlotRecord(
-                period=self.period_index, slot=slot,
-                slice_id=cfg.slices[self.device_slice[dev]].slice_id,
-                device=dev, action=a, rb_global=g,
-                rb_state=int(self.rb_states[g]) if a > 0 else -1,
-                observation=int(theta[dev, a - 1]) if a > 0 else -1,
-                rate=float(rates[dev]), reward=float(rewards[dev])))
+    def _record(self, slot, actions, rb, rates, saw_idle):
+        """Append the slot's block of SLOT_RECORDs, one per device."""
+        devices = np.arange(self.n_devices)
+        block = np.empty(self.n_devices, dtype=SLOT_RECORD)
+        block["period"] = self.period_index
+        block["slot"] = slot
+        block["slice"] = np.array([s.slice_id for s in self.config.slices])[self.device_slice]
+        block["device"] = devices
+        block["action"] = actions
+        # sleepers point at the silent bin past the pool, which reads -1
+        block["rb_global"] = np.append(np.arange(self.pool), -1)[rb]
+        block["rb_state"] = np.append(self.rb_states, -1)[rb]
+        heard = np.where(saw_idle[devices, actions - 1], IDLE, BUSY)
+        block["observation"] = np.where(actions > 0, heard, -1)
+        block["rate"] = rates
+        self._slot_blocks.append(block)
 
     def _rebuild_beliefs(self) -> None:
         """Lay out per-device beliefs for the current allocation.
@@ -342,7 +338,7 @@ class Simulation:
         for k in range(k_slots):
             out = self.run_slot(k)
             slot_totals[k] = out["slice_rates"]
-            device_rewards[:, k] = out["rewards"]
+            device_rewards[:, k] = out["rates"]
 
         horizon_totals = device_rewards @ self._slot_weights
         self.period_mean_rewards.append(float(horizon_totals.mean()))
@@ -391,9 +387,7 @@ class Simulation:
             mean_discounted_reward=float(np.mean(self.period_mean_rewards)),
             final_max_abs_gap=float(np.max(np.abs(self._final_gap))),
             period_rows=self.period_rows,
-            period_mean_rewards=self.period_mean_rewards,
-            final_allocation=list(self.allocation),
-            slot_records=self.slot_records)
+            slot_records=np.concatenate(self._slot_blocks) if self.record_slots else None)
 
 
 def run_simulation(config: ScenarioConfig, record_slots: bool = False) -> RunSummary:

@@ -216,11 +216,15 @@ def belief_update(belief: np.ndarray, action: int, observation: np.ndarray,
     return np.where(sensed, out, m)
 
 
+def reading(truth, u, flip_prob):
+    """The sensor's reading law: truth flipped where the uniform u < flip_prob.
+    truth is a state (IDLE/BUSY) or an idle flag, scalar or array."""
+    return truth ^ (u < flip_prob)
+
+
 def observe(true_state: int, flip_prob: float, rng: np.random.Generator) -> int:
-    """Noisy reading of one RB: the true state, flipped with flip_prob."""
-    if rng.random() < flip_prob:
-        return 1 - true_state
-    return true_state
+    """Noisy reading of one RB: reading's one-draw case."""
+    return int(reading(true_state, rng.random(), flip_prob))
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,8 @@ class TestRun:
         assert len(rows) == 2 * 20 * 40  # periods x slots x devices
         actions = {int(r[4]) for r in rows}
         assert actions <= set(range(0, 11))
+        rate, reward = cli.SLOT_HEADER.index("rate"), cli.SLOT_HEADER.index("reward")
+        assert all(r[reward] == r[rate] for r in rows)
 
     def test_out_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_ENV, str(tmp_path / "from_env"))

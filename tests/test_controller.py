@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from m2msim.channel import CellTopology
 from m2msim.controller import (ControllerParams, apply_allocation,
@@ -96,6 +100,34 @@ class TestApplyAllocation:
     def test_rejects_oversubscribed_start(self):
         with pytest.raises(ValueError):
             apply_allocation([9, 9], [0.0, 0.0], self.topo)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_only_increases_are_trimmed(self, data):
+        """Any valid prior allocation and real corrections: every slice lands
+        in [1, pool], the total within the pool, and a slice lands between
+        min(prev, want) and want, where want is prev plus the correction
+        rounded half away from zero, clamped to [1, pool]."""
+        pool = data.draw(st.integers(1, 40), label="pool")
+        n = data.draw(st.integers(1, min(pool, 8)), label="slices")
+        prev, spare = [], pool - n        # RBs left above every slice's floor of 1
+        for _ in range(n):
+            extra = data.draw(st.integers(0, spare))
+            prev.append(1 + extra)
+            spare -= extra
+        halves = st.integers(-2 * pool, 2 * pool).map(lambda k: k + 0.5)
+        deltas = data.draw(st.lists(
+            st.one_of(st.floats(-2.0 * pool, 2.0 * pool), halves),
+            min_size=n, max_size=n), label="deltas")
+        topo = CellTopology(total_rbs=pool, access_rbs=pool, data_rbs=0, devices=n)
+
+        new = apply_allocation(prev, deltas, topo)
+
+        want = [min(pool, max(1, p + int(math.copysign(math.floor(abs(d) + 0.5), d))))
+                for p, d in zip(prev, deltas)]
+        assert all(1 <= r <= pool for r in new)
+        assert sum(new) <= pool
+        assert all(min(p, w) <= r <= w for p, w, r in zip(prev, want, new))
 
 
 class TestClosedLoop:

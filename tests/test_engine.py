@@ -8,9 +8,9 @@ from conftest import PINNED_MARKOV, paired, small_radio, tiny_config
 from m2msim import pomdp
 from m2msim.channel import BUSY, IDLE, CellTopology, Timebase
 from m2msim.controller import ControllerParams
-from m2msim.engine import (ScenarioConfig, Simulation, aggregate_sweep,
-                           planning_rates, run_simulation, run_sweep,
-                           with_axis_value)
+from m2msim.engine import (SLOT_RECORD, ScenarioConfig, Simulation,
+                           aggregate_sweep, planning_rates, run_simulation,
+                           run_sweep, with_axis_value)
 from m2msim.pomdp import ObservationModel
 from m2msim.slicing import VirtualNetwork
 
@@ -37,14 +37,14 @@ def test_uninformative_sensing_draws_the_random_arms_rbs():
         obs=ObservationModel.symmetric(0.5), controller_enabled=True, seed=12)
     informed = run_simulation(cfg, record_slots=True)
     blind = run_simulation(paired(cfg, policy_mode="random"), record_slots=True)
-    assert ([r.action for r in informed.slot_records]
-            == [r.action for r in blind.slot_records])
+    assert np.array_equal(informed.slot_records["action"],
+                          blind.slot_records["action"])
 
 
 def _one_rb_slot(devices, **overrides):
     """Run one slot of `devices` random-arm devices on one RB; return the slot
-    records by device and each device's SINR rate recomputed by hand from the
-    run's own random streams."""
+    records, one per device in device order, and each device's SINR rate
+    recomputed by hand from the run's own random streams."""
     cfg = tiny_config(
         topology=CellTopology(total_rbs=1, access_rbs=1, data_rbs=0, devices=devices),
         slices=(VirtualNetwork(slice_id=1, devices=devices, access_rbs=1,
@@ -69,27 +69,26 @@ def _one_rb_slot(devices, **overrides):
         cfg.radio.bandwidth_per_rb
         * np.log2(1 + p * own[i] / (p * (own.sum() - own[i]) + extra + noise))
         for i in range(devices)]
-    by_device = {r.device: r for r in summary.slot_records}
-    assert all(by_device[i].action == 1 and by_device[i].rb_state == state
-               for i in range(devices))
-    return by_device, expected
+    records = summary.slot_records
+    assert np.array_equal(records["device"], np.arange(devices))
+    assert np.all(records["action"] == 1) and np.all(records["rb_state"] == state)
+    return records, expected
 
 
 def test_two_devices_interfere_on_shared_rb():
-    by_device, expected = _one_rb_slot(2)
+    records, expected = _one_rb_slot(2)
     for i in range(2):
-        assert by_device[i].rate == pytest.approx(expected[i], rel=1e-12)
-        assert by_device[i].reward == by_device[i].rate
+        assert records["rate"][i] == pytest.approx(expected[i], rel=1e-12)
 
 
 def test_hard_collision_zeroes_shared_rbs_only():
     """With hard_collision, two accessors of one RB both earn nothing, while
     a lone accessor keeps its SINR rate."""
     shared, _ = _one_rb_slot(2, hard_collision=True)
-    assert all(shared[i].rate == 0.0 and shared[i].reward == 0.0 for i in range(2))
+    assert np.all(shared["rate"] == 0.0)
     alone, expected = _one_rb_slot(1, hard_collision=True)
-    assert alone[0].rate == pytest.approx(expected[0], rel=1e-12)
-    assert alone[0].rate > 0.0 and alone[0].reward == alone[0].rate
+    assert alone["rate"][0] == pytest.approx(expected[0], rel=1e-12)
+    assert alone["rate"][0] > 0.0
 
 
 def test_single_rb_budget_admits_no_choice():
@@ -107,8 +106,17 @@ def test_repeated_runs_are_identical():
     cfg = tiny_config(controller_enabled=True, seed=5)
     a, b = run_simulation(cfg, record_slots=True), run_simulation(cfg, record_slots=True)
     assert a.period_rows == b.period_rows
-    assert a.slot_records == b.slot_records
+    assert np.array_equal(a.slot_records, b.slot_records)
     assert a.mean_discounted_reward == b.mean_discounted_reward
+
+
+def test_slot_records_are_one_array_on_request():
+    cfg = tiny_config(seed=5)
+    assert run_simulation(cfg).slot_records is None
+    records = run_simulation(cfg, record_slots=True).slot_records
+    assert records.dtype == SLOT_RECORD
+    tb = cfg.timebase
+    assert records.size == tb.periods * tb.slots_per_period * cfg.topology.devices
 
 
 def test_policy_arms_share_channel_randomness():
@@ -173,11 +181,9 @@ def test_greedy_fast_path_matches_exact_planner():
     slow = paired(cfg, solver_mode="exact")
     fast_summary = run_simulation(cfg, record_slots=True)
     slow_summary = run_simulation(slow, record_slots=True)
-    fast_actions = [(r.period, r.slot, r.device, r.action)
-                    for r in fast_summary.slot_records]
-    slow_actions = [(r.period, r.slot, r.device, r.action)
-                    for r in slow_summary.slot_records]
-    assert fast_actions == slow_actions
+    fields = ["period", "slot", "device", "action"]
+    assert np.array_equal(fast_summary.slot_records[fields],
+                          slow_summary.slot_records[fields])
     assert fast_summary.mean_discounted_reward == slow_summary.mean_discounted_reward
 
 
@@ -233,10 +239,11 @@ def test_belief_carry_over_follows_pool_indices():
 def test_sleeping_devices_record_no_channel():
     cfg = tiny_config(discount=0.0, seed=8)  # zero weight on early slots
     summary = run_simulation(cfg, record_slots=True)
-    early = [r for r in summary.slot_records if r.slot < 2]
-    assert early and all(r.action == 0 for r in early)
-    assert all(r.rb_global == -1 and r.rb_state == -1 and r.observation == -1
-               and r.rate == 0.0 for r in early)
+    records = summary.slot_records
+    early = records[records["slot"] < 2]
+    assert early.size and np.all(early["action"] == 0)
+    assert np.all((early["rb_global"] == -1) & (early["rb_state"] == -1)
+                  & (early["observation"] == -1) & (early["rate"] == 0.0))
 
 
 def test_clairvoyant_arm_upper_bounds_informed_arm():
