@@ -48,6 +48,7 @@ SUMMARY_HEADER = ["run_id", "seed", "axis_value",
                   "mean_discounted_reward", "final_max_abs_gap"]
 SLOT_HEADER = [*engine.SLOT_RECORD.names, "reward"]   # reward repeats the rate
 AGG_HEADER = ["axis_value", "mean", "stderr"]
+SLOT_BLOCK = 4096   # slot records turned into CSV rows at a time
 
 
 def _fmt(x: float) -> str:
@@ -83,9 +84,13 @@ def _period_rows(summary: engine.RunSummary) -> List[List]:
 
 
 def _slot_rows(summary: engine.RunSummary) -> Iterable[List]:
-    for *fields, rate in summary.slot_records.tolist():
-        rate = _fmt(rate)
-        yield [*fields, rate, rate]
+    # converted a block at a time: Python rows for the whole run at once
+    # would outgrow the records themselves
+    records = summary.slot_records
+    for start in range(0, records.size, SLOT_BLOCK):
+        for *fields, rate in records[start:start + SLOT_BLOCK].tolist():
+            rate = _fmt(rate)
+            yield [*fields, rate, rate]
 
 
 # -- run ----------------------------------------------------------------------

@@ -1,112 +1,123 @@
 """Scenario files: schema-checked YAML with dotted-path overrides and profiles.
 
-A scenario document maps one-to-one onto ScenarioConfig.  Loading is strict:
+A scenario document maps one-to-one onto ScenarioConfig, and SCHEMA lists
+each of its keys once, with its kind and default.  Loading is strict:
 unknown keys are rejected (with a spelling hint), required keys must be
-present, and every range violation is reported with the dotted path of the
-offending key.  Shipped profiles live next to the package and are addressed
-by name ("five-slice", "two-slice") wherever a file path is accepted.
+present, and every type or range violation is reported with the dotted path
+of the offending key.  The rules that span keys live in
+ScenarioConfig.validate and name their key too.  Shipped profiles live next
+to the package and are addressed by name ("five-slice", "two-slice")
+wherever a file path is accepted.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import difflib
 from importlib import resources
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import yaml
 
 from .channel import CellTopology, RadioParams, RbMarkov, Timebase, dbm_to_watts
 from .controller import ControllerParams
-from .engine import POLICY_MODES, SOLVER_MODES, ScenarioConfig
+from .engine import ConfigError, ScenarioConfig
 from .pomdp import ObservationModel
 from .slicing import VirtualNetwork
 
 
-class ConfigError(ValueError):
-    """Invalid scenario document; `path` names the offending key."""
+class _Kind(NamedTuple):
+    types: Tuple[type, ...]
+    name: str               # what a wrong type is told it should have been
+    nullable: bool = False  # null is a value of this kind
+    unit: bool = False      # the value must lie in [0, 1]
 
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}" if path else message)
 
+NUMBER = _Kind((int, float), "a number")
+INTEGER = _Kind((int,), "an integer")
+BOOLEAN = _Kind((bool,), "a boolean")
+STRING = _Kind((str,), "a string")
+OPTIONAL_NUMBER = NUMBER._replace(nullable=True)
+UNIT = NUMBER._replace(unit=True)
 
-_MISSING = object()
+# Every document key: a section maps to its keys, a list to its item's keys,
+# and a key to (kind,) when it is required or (kind, default) when it is not.
+# An absent key takes the default; a null is checked like any other value.
+SCHEMA: Dict[str, Any] = {
+    "topology": {"total_rbs": (INTEGER,), "access_rbs": (INTEGER,),
+                 "data_rbs": (INTEGER,), "devices": (INTEGER,)},
+    "timebase": {"slot_duration": (NUMBER,), "slots_per_period": (INTEGER,),
+                 "periods": (INTEGER,)},
+    "slices": [{"slice_id": (INTEGER,), "devices": (INTEGER,), "access_rbs": (INTEGER,),
+                "data_rbs": (INTEGER, 0), "weight": (NUMBER,)}],
+    "radio": {"bandwidth_per_rb": (NUMBER,), "tx_power": (OPTIONAL_NUMBER, None),
+              "tx_power_dbm": (OPTIONAL_NUMBER, None), "noise_power": (NUMBER,),
+              "busy_power": (OPTIONAL_NUMBER, None)},
+    "markov": {"idle_to_idle": (UNIT,), "idle_to_busy": (UNIT,),
+               "busy_to_idle": (UNIT,), "busy_to_busy": (UNIT,)},
+    "observation": {"epsilon": (UNIT,), "phi": (UNIT, None),   # absent: epsilon
+                    "sleep_sensing": (BOOLEAN, True), "force_equal_noise": (BOOLEAN, True)},
+    "policy": {"mode": (STRING, "pomdp"), "solver": (STRING, "auto"),
+               "grid_points": (INTEGER, 101), "discount": (NUMBER,)},
+    "controller": {"omega": (NUMBER,), "mu": (NUMBER,)},
+    "controller_enabled": (BOOLEAN, True),
+    "hard_collision": (BOOLEAN, False),
+    "seed": (INTEGER, 1),
+}
 
 
 def _join(path: str, key: Any) -> str:
     return f"{path}.{key}" if path else str(key)
 
 
-def _as_float(value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError
-    return float(value)
+def _markov_key(field: str) -> str:
+    """The document key of an RbMarkov field: p_idle_busy is idle_to_busy."""
+    return field[2:].replace("_", "_to_")
 
 
-def _as_int(value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError
-    return int(value)
-
-
-def _as_bool(value: Any) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError
-    return value
-
-
-def _as_str(value: Any) -> str:
-    if not isinstance(value, str):
-        raise TypeError
-    return value
-
-
-_KIND_NAMES = {_as_float: "a number", _as_int: "an integer",
-               _as_bool: "a boolean", _as_str: "a string"}
-
-
-def _get(section: Mapping, key: str, path: str, kind, default=_MISSING):
-    if key not in section:
-        if default is not _MISSING:
-            return default
-        raise ConfigError(_join(path, key), "required key is missing")
-    try:
-        return kind(section[key])
-    except TypeError:
-        raise ConfigError(_join(path, key),
-                          f"expected {_KIND_NAMES[kind]}, got {section[key]!r}") from None
-
-
-def _optional_float(section: Mapping, key: str, path: str) -> Optional[float]:
-    if key not in section or section[key] is None:
+def _value(raw: Any, kind: _Kind, path: str) -> Any:
+    if raw is None and kind.nullable:
         return None
-    return _get(section, key, path, _as_float)
-
-
-def _section(doc: Mapping, key: str, path: str = "") -> Mapping:
-    if key not in doc:
-        raise ConfigError(_join(path, key), "required section is missing")
-    value = doc[key]
-    if not isinstance(value, Mapping):
-        raise ConfigError(_join(path, key), "expected a key/value section")
-    return value
-
-
-def _reject_unknown(section: Mapping, allowed: Sequence[str], path: str) -> None:
-    for key in section:
-        if key not in allowed:
-            hint = difflib.get_close_matches(str(key), list(allowed), n=1)
-            detail = (f"unknown key (did you mean {hint[0]!r}?)" if hint else
-                      f"unknown key; known keys: {', '.join(sorted(allowed))}")
-            raise ConfigError(_join(path, str(key)), detail)
-
-
-def _unit_interval(value: float, path: str) -> float:
-    if not 0.0 <= value <= 1.0:
+    if not isinstance(raw, kind.types) or (isinstance(raw, bool) and kind is not BOOLEAN):
+        raise ConfigError(path, f"expected {kind.name}, got {raw!r}")
+    value = float(raw) if float in kind.types else raw
+    if kind.unit and not 0.0 <= value <= 1.0:
         raise ConfigError(path, f"must lie in [0, 1], got {value}")
     return value
+
+
+def _read(section: Any, schema: Mapping, path: str) -> Dict[str, Any]:
+    """Check a section against its schema; its values in schema order, defaults filled."""
+    if not isinstance(section, Mapping):
+        raise ConfigError(path, "expected a key/value section")
+    for key in section:
+        if key not in schema:
+            hint = difflib.get_close_matches(str(key), list(schema), n=1)
+            detail = (f"unknown key (did you mean {hint[0]!r}?)" if hint else
+                      f"unknown key; known keys: {', '.join(sorted(schema))}")
+            raise ConfigError(_join(path, key), detail)
+    out = {}
+    for key, spec in schema.items():
+        where = _join(path, key)
+        if isinstance(spec, tuple):
+            if key in section:
+                out[key] = _value(section[key], spec[0], where)
+            elif len(spec) == 2:
+                out[key] = spec[1]
+            else:
+                raise ConfigError(where, "required key is missing")
+        elif key not in section:
+            raise ConfigError(where, "required section is missing")
+        elif isinstance(spec, list):
+            items = section[key]
+            if not isinstance(items, Sequence) or isinstance(items, (str, bytes)):
+                raise ConfigError(where, "expected a list of slice sections")
+            out[key] = [_read(item, spec[0], _join(where, i)) for i, item in enumerate(items)]
+        else:
+            out[key] = _read(section[key], spec, where)
+    return out
 
 
 def _construct(factory, kwargs: Dict[str, Any], path: str):
@@ -116,209 +127,56 @@ def _construct(factory, kwargs: Dict[str, Any], path: str):
         raise ConfigError(path, str(exc)) from exc
 
 
-# -- section builders -------------------------------------------------------
-
-def _build_topology(doc: Mapping) -> CellTopology:
-    sec = _section(doc, "topology")
-    keys = ("total_rbs", "access_rbs", "data_rbs", "devices")
-    _reject_unknown(sec, keys, "topology")
-    return _construct(CellTopology,
-                      {k: _get(sec, k, "topology", _as_int) for k in keys},
-                      "topology")
-
-
-def _build_timebase(doc: Mapping) -> Timebase:
-    sec = _section(doc, "timebase")
-    _reject_unknown(sec, ("slot_duration", "slots_per_period", "periods"), "timebase")
-    return _construct(Timebase, {
-        "slot_duration": _get(sec, "slot_duration", "timebase", _as_float),
-        "slots_per_period": _get(sec, "slots_per_period", "timebase", _as_int),
-        "periods": _get(sec, "periods", "timebase", _as_int),
-    }, "timebase")
-
-
-def _build_slices(doc: Mapping) -> Tuple[VirtualNetwork, ...]:
-    if "slices" not in doc:
-        raise ConfigError("slices", "required section is missing")
-    raw = doc["slices"]
-    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes, Mapping)):
-        raise ConfigError("slices", "expected a list of slice sections")
-    if not raw:
-        raise ConfigError("slices", "at least one slice is required")
-    out = []
-    for i, item in enumerate(raw):
-        path = f"slices.{i}"
-        if not isinstance(item, Mapping):
-            raise ConfigError(path, "expected a key/value section")
-        _reject_unknown(item, ("slice_id", "devices", "access_rbs",
-                               "data_rbs", "weight"), path)
-        out.append(_construct(VirtualNetwork, {
-            "slice_id": _get(item, "slice_id", path, _as_int),
-            "devices": _get(item, "devices", path, _as_int),
-            "access_rbs": _get(item, "access_rbs", path, _as_int),
-            "data_rbs": _get(item, "data_rbs", path, _as_int, 0),
-            "weight": _get(item, "weight", path, _as_float),
-        }, path))
-    return tuple(out)
-
-
-def _build_radio(doc: Mapping) -> RadioParams:
-    sec = _section(doc, "radio")
-    _reject_unknown(sec, ("bandwidth_per_rb", "tx_power", "tx_power_dbm",
-                          "noise_power", "busy_power"), "radio")
-    watts = _optional_float(sec, "tx_power", "radio")
-    dbm = _optional_float(sec, "tx_power_dbm", "radio")
-    if (watts is None) == (dbm is None):
-        raise ConfigError("radio",
-                          "give exactly one of tx_power (watts) or tx_power_dbm")
-    return _construct(RadioParams, {
-        "bandwidth_per_rb": _get(sec, "bandwidth_per_rb", "radio", _as_float),
-        "tx_power": watts if watts is not None else dbm_to_watts(dbm),
-        "noise_power": _get(sec, "noise_power", "radio", _as_float),
-        "busy_power": _optional_float(sec, "busy_power", "radio"),
-    }, "radio")
-
-
-def _build_markov(doc: Mapping) -> RbMarkov:
-    sec = _section(doc, "markov")
-    names = ("idle_to_idle", "idle_to_busy", "busy_to_idle", "busy_to_busy")
-    _reject_unknown(sec, names, "markov")
-    values = {n: _unit_interval(_get(sec, n, "markov", _as_float),
-                                _join("markov", n)) for n in names}
-    return _construct(RbMarkov, {
-        "p_idle_idle": values["idle_to_idle"],
-        "p_idle_busy": values["idle_to_busy"],
-        "p_busy_idle": values["busy_to_idle"],
-        "p_busy_busy": values["busy_to_busy"],
-    }, "markov")
-
-
-def _build_observation(doc: Mapping) -> Tuple[ObservationModel, bool, bool]:
-    sec = _section(doc, "observation")
-    _reject_unknown(sec, ("epsilon", "phi", "sleep_sensing",
-                          "force_equal_noise"), "observation")
-    eps = _unit_interval(_get(sec, "epsilon", "observation", _as_float),
-                         "observation.epsilon")
-    phi = _unit_interval(_get(sec, "phi", "observation", _as_float, eps),
-                         "observation.phi")
-    return (ObservationModel(epsilon=eps, phi=phi),
-            _get(sec, "sleep_sensing", "observation", _as_bool, True),
-            _get(sec, "force_equal_noise", "observation", _as_bool, True))
-
-
-def _build_policy(doc: Mapping) -> Tuple[str, str, int, float]:
-    sec = _section(doc, "policy")
-    _reject_unknown(sec, ("mode", "solver", "grid_points", "discount"), "policy")
-    mode = _get(sec, "mode", "policy", _as_str, "pomdp")
-    if mode not in POLICY_MODES:
-        raise ConfigError("policy.mode",
-                          f"must be one of {', '.join(POLICY_MODES)}; got {mode!r}")
-    solver = _get(sec, "solver", "policy", _as_str, "auto")
-    if solver not in SOLVER_MODES:
-        raise ConfigError("policy.solver",
-                          f"must be one of {', '.join(SOLVER_MODES)}; got {solver!r}")
-    grid_points = _get(sec, "grid_points", "policy", _as_int, 101)
-    if grid_points < 2:
-        raise ConfigError("policy.grid_points", f"must be >= 2, got {grid_points}")
-    discount = _unit_interval(_get(sec, "discount", "policy", _as_float),
-                              "policy.discount")
-    return mode, solver, grid_points, discount
-
-
-def _build_controller(doc: Mapping) -> ControllerParams:
-    sec = _section(doc, "controller")
-    _reject_unknown(sec, ("omega", "mu"), "controller")
-    return _construct(ControllerParams, {
-        "omega": _get(sec, "omega", "controller", _as_float),
-        "mu": _get(sec, "mu", "controller", _as_float),
-    }, "controller")
-
-
-_TOP_KEYS = ("topology", "timebase", "slices", "radio", "markov", "observation",
-             "policy", "controller", "controller_enabled", "hard_collision",
-             "seed")
-
-
 def build_config(doc: Mapping) -> ScenarioConfig:
     """Turn a parsed scenario document into a validated ScenarioConfig."""
     if not isinstance(doc, Mapping):
         raise ConfigError("", "top level must be a key/value document")
-    _reject_unknown(doc, _TOP_KEYS, "")
-    obs, sleep_sensing, force_equal = _build_observation(doc)
-    mode, solver, grid_points, discount = _build_policy(doc)
+    values = _read(doc, SCHEMA, "")
+    radio, obs, policy = values["radio"], values["observation"], values["policy"]
+    dbm = radio.pop("tx_power_dbm")
+    if (radio["tx_power"] is None) == (dbm is None):
+        raise ConfigError("radio", "give exactly one of tx_power (watts) or tx_power_dbm")
+    if dbm is not None:
+        radio["tx_power"] = dbm_to_watts(dbm)
+    markov = {f.name: values["markov"][_markov_key(f.name)]
+              for f in dataclasses.fields(RbMarkov)}
     cfg = ScenarioConfig(
-        topology=_build_topology(doc),
-        timebase=_build_timebase(doc),
-        slices=_build_slices(doc),
-        radio=_build_radio(doc),
-        markov=_build_markov(doc),
-        obs=obs,
-        discount=discount,
-        controller=_build_controller(doc),
-        controller_enabled=_get(doc, "controller_enabled", "", _as_bool, True),
-        policy_mode=mode,
-        solver_mode=solver,
-        grid_points=grid_points,
-        sleep_sensing=sleep_sensing,
-        hard_collision=_get(doc, "hard_collision", "", _as_bool, False),
-        force_equal_noise=force_equal,
-        seed=_get(doc, "seed", "", _as_int, 1))
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError("scenario", str(exc)) from exc
+        topology=_construct(CellTopology, values["topology"], "topology"),
+        timebase=_construct(Timebase, values["timebase"], "timebase"),
+        slices=tuple(_construct(VirtualNetwork, item, f"slices.{i}")
+                     for i, item in enumerate(values["slices"])),
+        radio=_construct(RadioParams, radio, "radio"),
+        markov=_construct(RbMarkov, markov, "markov"),
+        obs=ObservationModel(epsilon=obs["epsilon"],
+                             phi=obs["epsilon"] if obs["phi"] is None else obs["phi"]),
+        discount=policy["discount"],
+        controller=_construct(ControllerParams, values["controller"], "controller"),
+        controller_enabled=values["controller_enabled"],
+        policy_mode=policy["mode"],
+        solver_mode=policy["solver"],
+        grid_points=policy["grid_points"],
+        sleep_sensing=obs["sleep_sensing"],
+        hard_collision=values["hard_collision"],
+        force_equal_noise=obs["force_equal_noise"],
+        seed=values["seed"])
+    cfg.validate()
     return cfg
 
 
 def to_document(cfg: ScenarioConfig) -> Dict[str, Any]:
     """Canonical document form; build_config(to_document(cfg)) == cfg."""
+    asdict = dataclasses.asdict
     return {
-        "topology": {
-            "total_rbs": cfg.topology.total_rbs,
-            "access_rbs": cfg.topology.access_rbs,
-            "data_rbs": cfg.topology.data_rbs,
-            "devices": cfg.topology.devices,
-        },
-        "timebase": {
-            "slot_duration": cfg.timebase.slot_duration,
-            "slots_per_period": cfg.timebase.slots_per_period,
-            "periods": cfg.timebase.periods,
-        },
-        "slices": [{
-            "slice_id": s.slice_id,
-            "devices": s.devices,
-            "access_rbs": s.access_rbs,
-            "data_rbs": s.data_rbs,
-            "weight": s.weight,
-        } for s in cfg.slices],
-        "radio": {
-            "bandwidth_per_rb": cfg.radio.bandwidth_per_rb,
-            "tx_power": cfg.radio.tx_power,
-            "noise_power": cfg.radio.noise_power,
-            "busy_power": cfg.radio.busy_power,
-        },
-        "markov": {
-            "idle_to_idle": cfg.markov.p_idle_idle,
-            "idle_to_busy": cfg.markov.p_idle_busy,
-            "busy_to_idle": cfg.markov.p_busy_idle,
-            "busy_to_busy": cfg.markov.p_busy_busy,
-        },
-        "observation": {
-            "epsilon": cfg.obs.epsilon,
-            "phi": cfg.obs.phi,
-            "sleep_sensing": cfg.sleep_sensing,
-            "force_equal_noise": cfg.force_equal_noise,
-        },
-        "policy": {
-            "mode": cfg.policy_mode,
-            "solver": cfg.solver_mode,
-            "grid_points": cfg.grid_points,
-            "discount": cfg.discount,
-        },
-        "controller": {
-            "omega": cfg.controller.omega,
-            "mu": cfg.controller.mu,
-        },
+        "topology": asdict(cfg.topology),
+        "timebase": asdict(cfg.timebase),
+        "slices": [asdict(s) for s in cfg.slices],
+        "radio": asdict(cfg.radio),
+        "markov": {_markov_key(field): p for field, p in asdict(cfg.markov).items()},
+        "observation": {**asdict(cfg.obs), "sleep_sensing": cfg.sleep_sensing,
+                        "force_equal_noise": cfg.force_equal_noise},
+        "policy": {"mode": cfg.policy_mode, "solver": cfg.solver_mode,
+                   "grid_points": cfg.grid_points, "discount": cfg.discount},
+        "controller": asdict(cfg.controller),
         "controller_enabled": cfg.controller_enabled,
         "hard_collision": cfg.hard_collision,
         "seed": cfg.seed,

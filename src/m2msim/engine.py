@@ -33,6 +33,18 @@ SOLVER_MODES = ("auto", "exact", "grid", "myopic")
 SWEEP_AXES = ("rbs", "epsilon", "beta", "omega", "mu", "devices")
 
 
+class ConfigError(ValueError):
+    """Invalid scenario; `path` names the offending document key."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(path, message)
+        self.path = path
+
+    def __str__(self) -> str:
+        path, message = self.args
+        return f"{path}: {message}" if path else message
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     topology: CellTopology
@@ -56,26 +68,29 @@ class ScenarioConfig:
         object.__setattr__(self, "slices", tuple(self.slices))
 
     def validate(self) -> None:
+        """The rules that span keys or sections; each refusal names its key."""
         if self.policy_mode not in POLICY_MODES:
-            raise ValueError(f"policy_mode must be one of {POLICY_MODES}")
+            raise ConfigError("policy.mode", f"must be one of {', '.join(POLICY_MODES)}; "
+                                             f"got {self.policy_mode!r}")
         if self.solver_mode not in SOLVER_MODES:
-            raise ValueError(f"solver_mode must be one of {SOLVER_MODES}")
+            raise ConfigError("policy.solver", f"must be one of {', '.join(SOLVER_MODES)}; "
+                                               f"got {self.solver_mode!r}")
+        if self.grid_points < 2:
+            raise ConfigError("policy.grid_points", f"must be >= 2, got {self.grid_points}")
         if not 0.0 <= self.discount <= 1.0:
-            raise ValueError("discount must lie in [0, 1]")
+            raise ConfigError("policy.discount", f"must lie in [0, 1], got {self.discount}")
         if not self.slices:
-            raise ValueError("at least one slice is required")
+            raise ConfigError("slices", "at least one slice is required")
         if sum(s.devices for s in self.slices) != self.topology.devices:
-            raise ValueError("slice device counts must sum to the cell total")
+            raise ConfigError("slices", "slice device counts must sum to the cell total")
         if sum(s.access_rbs for s in self.slices) > self.topology.access_rbs:
-            raise ValueError("initial slice access RBs exceed the access pool")
+            raise ConfigError("slices", "initial slice access RBs exceed the access pool")
         weights = [s.weight for s in self.slices]
         if any(a < b for a, b in zip(weights, weights[1:])):
-            raise ValueError("slice weights must be non-increasing")
+            raise ConfigError("slices", "slice weights must be non-increasing")
         if self.force_equal_noise and self.obs.epsilon != self.obs.phi:
-            raise ValueError(
-                "epsilon and phi differ; set force_equal_noise false to allow that")
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be >= 2")
+            raise ConfigError("observation.phi", "epsilon and phi differ; "
+                                                 "set force_equal_noise false to allow that")
 
 
 # One device-slot, named as slots.csv's columns but for reward, which repeats
@@ -145,9 +160,6 @@ class Simulation:
             self._state_rng.random(self.pool) < stationary, IDLE, BUSY)
 
         self.rate_idle, self.rate_busy = planning_rates(config.radio)
-        self._slot_weights = np.array(
-            [config.discount ** (config.timebase.slots_per_period - 1 - k)
-             for k in range(config.timebase.slots_per_period)])
 
         self.filtered_rates: Optional[np.ndarray] = None
         self.prev_gap = np.zeros(self.n_slices)
@@ -340,7 +352,7 @@ class Simulation:
             slot_totals[k] = out["slice_rates"]
             device_rewards[:, k] = out["rates"]
 
-        horizon_totals = device_rewards @ self._slot_weights
+        horizon_totals = pomdp.total_discounted_reward(device_rewards, cfg.discount)
         self.period_mean_rewards.append(float(horizon_totals.mean()))
 
         obtained = np.array([slicing.period_average_rate(slot_totals[:, s], cfg.timebase)

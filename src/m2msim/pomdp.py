@@ -56,7 +56,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -230,12 +230,13 @@ def observe(true_state: int, flip_prob: float, rng: np.random.Generator) -> int:
 # ---------------------------------------------------------------------------
 # rewards
 
-def total_discounted_reward(rewards: Sequence[float], discount: float) -> float:
-    """Horizon total with late-slot emphasis: sum_k discount**(K-1-k) * r_k."""
+def total_discounted_reward(rewards: np.ndarray, discount: float) -> float | np.ndarray:
+    """Horizon total with late-slot emphasis: sum_k discount**(K-1-k) * r_k over
+    the last axis of rewards (..., K); a float for one horizon's K rewards."""
     r = np.asarray(rewards, dtype=float)
-    k = np.arange(r.size)
-    weights = np.float_power(discount, r.size - 1 - k)
-    return float(np.dot(weights, r))
+    k = np.arange(r.shape[-1])
+    totals = r @ np.float_power(discount, r.shape[-1] - 1 - k)
+    return totals if r.ndim > 1 else float(totals)
 
 
 # ---------------------------------------------------------------------------

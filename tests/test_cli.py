@@ -144,6 +144,15 @@ class TestSweep:
         assert code == cli.EXIT_CONFIG
         assert "range" in capsys.readouterr().err
 
+    def test_axis_value_that_breaks_a_rule_names_the_key(self, tmp_path, capsys):
+        # two slices of 6 RBs overfill the 10-RB pool: a scenario rule, so a
+        # config error under the key it names, not a runtime failure
+        code = run_cli(["sweep", *SMALL, "--axis", "rbs", "--values", "6",
+                        "--seeds", "2", "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "config error: slices: initial slice access RBs exceed" in \
+            capsys.readouterr().err
+
 
 class TestVerify:
     def test_single_check(self, capsys):

@@ -1,10 +1,34 @@
+import tempfile
+from pathlib import Path
+
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from m2msim.channel import dbm_to_watts
 from m2msim.config import (ConfigError, apply_overrides, build_config,
                            list_profiles, load_config, read_source, serialize,
                            to_document)
+from m2msim.engine import POLICY_MODES, SOLVER_MODES
+
+
+def _yaml_scalar(value) -> str:
+    """value as YAML writes it, so a float like 1e-05 does not read back as text."""
+    return yaml.safe_dump(value).partition("\n")[0]
+
+
+# (override on the five-slice profile, the document key its refusal names)
+REFUSALS = [
+    ("policy.mode=oracle", "policy.mode"),
+    ("policy.solver=magic", "policy.solver"),
+    ("policy.grid_points=1", "policy.grid_points"),
+    ("policy.discount=1.5", "policy.discount"),
+    ("slices.0.devices=31", "slices"),          # device counts must sum to the cell
+    ("slices.0.weight=0.5", "slices"),          # weights must not increase
+    ("observation.phi=0.3", "observation.phi"),  # force_equal_noise is on
+    ("observation.phi=null", "observation.phi"),  # null is not "absent"
+]
 
 
 @pytest.fixture
@@ -59,6 +83,45 @@ class TestRoundTrip:
         path.write_text(serialize(cfg))
         assert load_config(path) == cfg
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_valid_overrides_round_trip(self, data):
+        """Any valid override set on either profile: the document form and
+        the serialized text both read back as the same config."""
+        unit = st.floats(0.0, 1.0)
+        values = {
+            "seed": data.draw(st.integers(0, 2**31 - 1), label="seed"),
+            "observation.epsilon": data.draw(unit, label="epsilon"),
+            "observation.phi": data.draw(unit, label="phi"),
+            "observation.force_equal_noise": False,
+            "radio.busy_power": data.draw(st.none() | st.floats(0.0, 10.0),
+                                          label="busy_power"),
+            "policy.mode": data.draw(st.sampled_from(POLICY_MODES), label="mode"),
+            "policy.solver": data.draw(st.sampled_from(SOLVER_MODES), label="solver"),
+            "policy.grid_points": data.draw(st.integers(2, 501), label="grid_points"),
+            "policy.discount": data.draw(unit, label="discount"),
+        }
+        if data.draw(st.booleans(), label="watts"):
+            values["radio.tx_power_dbm"] = None
+            values["radio.tx_power"] = data.draw(st.floats(0.0, 10.0), label="tx_power")
+        else:
+            values["radio.tx_power_dbm"] = data.draw(st.floats(-50.0, 50.0), label="dbm")
+        to_idle = data.draw(unit, label="idle_to_idle")
+        from_busy = data.draw(unit, label="busy_to_idle")
+        values.update({"markov.idle_to_idle": to_idle, "markov.idle_to_busy": 1.0 - to_idle,
+                       "markov.busy_to_idle": from_busy,
+                       "markov.busy_to_busy": 1.0 - from_busy})
+        profile = data.draw(st.sampled_from(["five-slice", "two-slice"]), label="profile")
+        overrides = [f"{key}={_yaml_scalar(value)}" for key, value in values.items()]
+
+        cfg = load_config(profile, overrides)
+
+        assert build_config(to_document(cfg)) == cfg
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "dump.yaml"
+            path.write_text(serialize(cfg))
+            assert load_config(path) == cfg
+
 
 class TestValidation:
     def test_unknown_top_level_key(self, doc):
@@ -106,10 +169,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="markov"):
             build_config(doc)
 
-    def test_policy_mode_membership(self, doc):
-        doc["policy"]["mode"] = "oracle"
-        with pytest.raises(ConfigError, match=r"policy\.mode"):
-            build_config(doc)
+    @pytest.mark.parametrize("override,key", REFUSALS, ids=[o for o, _ in REFUSALS])
+    def test_refusal_names_its_key(self, doc, override, key):
+        with pytest.raises(ConfigError) as err:
+            build_config(apply_overrides(doc, [override]))
+        assert err.value.path == key
 
     def test_cross_field_failures_surface(self, doc):
         doc["slices"][0]["devices"] = 31

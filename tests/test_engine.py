@@ -7,6 +7,7 @@ import pytest
 from conftest import PINNED_MARKOV, paired, small_radio, tiny_config
 from m2msim import pomdp
 from m2msim.channel import BUSY, IDLE, CellTopology, Timebase
+from m2msim.config import ConfigError
 from m2msim.controller import ControllerParams
 from m2msim.engine import (SLOT_RECORD, ScenarioConfig, Simulation,
                            aggregate_sweep, planning_rates, run_simulation,
@@ -261,7 +262,34 @@ def test_clairvoyant_arm_upper_bounds_informed_arm():
     assert np.mean(diffs) >= 0.0
 
 
+# (ScenarioConfig fields built in code, the document key the refusal names)
+CODE_REFUSALS = {
+    "mode": (dict(policy_mode="oracle"), "policy.mode"),
+    "solver": (dict(solver_mode="magic"), "policy.solver"),
+    "grid-points": (dict(grid_points=1), "policy.grid_points"),
+    "discount": (dict(discount=1.5), "policy.discount"),
+    "no-slice": (dict(slices=()), "slices"),
+    "device-sum": (dict(topology=CellTopology(total_rbs=2, access_rbs=2, data_rbs=0,
+                                              devices=5)), "slices"),
+    "pool": (dict(slices=(VirtualNetwork(slice_id=1, devices=3, access_rbs=3,
+                                         data_rbs=0, weight=1.0),)), "slices"),
+    "weight-order": (dict(
+        topology=CellTopology(total_rbs=4, access_rbs=4, data_rbs=0, devices=2),
+        slices=(VirtualNetwork(slice_id=1, devices=1, access_rbs=2, data_rbs=0, weight=1.0),
+                VirtualNetwork(slice_id=2, devices=1, access_rbs=2, data_rbs=0,
+                               weight=2.0))), "slices"),
+    "equal-noise": (dict(obs=ObservationModel(0.1, 0.3)), "observation.phi"),
+}
+
+
 class TestScenarioValidation:
+    @pytest.mark.parametrize("case", CODE_REFUSALS)
+    def test_refusal_names_its_key(self, case):
+        fields, key = CODE_REFUSALS[case]
+        with pytest.raises(ConfigError) as err:
+            tiny_config(**fields).validate()
+        assert err.value.path == key
+
     def test_device_counts_must_sum(self):
         with pytest.raises(ValueError, match="sum"):
             tiny_config(topology=CellTopology(total_rbs=2, access_rbs=2,

@@ -3,8 +3,10 @@
 The periods.csv and summary.csv digests were recorded after the slice access
 rule (with its faded expected rates) and the measured controller.mu changed
 every run's tables on purpose; the slots.csv digests were recorded before
-the slot records became one structured array.  A change that alters any
-simulated number or its formatting shows up here, not only in the benchmark.
+the slot records became one structured array, and the watts-random case
+before one schema table replaced the per-section config readers.  A change
+that alters any simulated number, its formatting or the serialized scenario
+behind a run id shows up here, not only in the benchmark.
 """
 
 import hashlib
@@ -18,6 +20,9 @@ EXACT_SOLVER = ("observation.force_equal_noise=false", "observation.phi=0.2",
                 "controller_enabled=false", "timebase.periods=1",
                 "timebase.slots_per_period=8", "slices.0.access_rbs=2",
                 "slices.1.access_rbs=2")
+# the power in watts with a busy-source power, the random arm, hard collisions
+WATTS_RANDOM = ("radio.tx_power_dbm=null", "radio.tx_power=0.1",
+                "radio.busy_power=0.25", "policy.mode=random", "hard_collision=true")
 
 # (profile, seed, overrides) -> sha256 of (periods.csv, summary.csv, slots.csv);
 # a case with a slots.csv digest runs with --slots
@@ -59,6 +64,12 @@ GOLDEN = {
         "2c07515c6e37750476b00db8b40d3272af4a85c0bff6193b2eb753aa5d1cfbf4",
         "571b25bffd4f20bcd212a7441d8610a8bb13643bc8c349db2ee5a07532b85485",
         "ea71379fed3c4860cff50db6c48cd028e0e07688108717a9351b66c8743637c7"),
+    # the run id in summary.csv hashes the serialized scenario, so this pins
+    # the watts power form, busy_power and the top-level flags as written
+    ("two-slice", 1, WATTS_RANDOM): (
+        "5666ba364fcfbfd1f629f914dbed3b0b2deb6cfaf2592452e6f1a1530692636c",
+        "386263317b3940b488159bac64d1f9e42ec001141475a361caa8bda05b6b42db",
+        "a4517bf1d55708d53ddfe3f80e4d224e0aed13471e2d1bac0a08eacc177dfde9"),
 }
 
 
@@ -68,7 +79,8 @@ def _sha256(path) -> str:
 
 def _case_id(case) -> str:
     profile, seed, overrides = case
-    names = ["exact-solver"] if overrides == EXACT_SOLVER else overrides
+    names = {EXACT_SOLVER: ["exact-solver"],
+             WATTS_RANDOM: ["watts-random"]}.get(overrides, overrides)
     return "-".join([profile, str(seed), *names])
 
 

@@ -143,6 +143,11 @@ class TestRewards:
     def test_zero_discount_keeps_only_last_slot(self):
         assert total_discounted_reward((100.0,), 0.0) == 100.0
 
+    def test_each_row_is_one_horizon(self):
+        # the engine's per-device totals: one row of K slot rewards per device
+        rows = np.array([[5.0, 7.0, 9.0], [4.0, 4.0, 4.0]])
+        assert total_discounted_reward(rows, 0.5).tolist() == [13.75, 7.0]
+
 
 class TestObservationModel:
     def test_range_validation(self):
