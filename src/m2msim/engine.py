@@ -30,7 +30,10 @@ from .slicing import VirtualNetwork
 
 POLICY_MODES = ("pomdp", "random", "perfect")
 SOLVER_MODES = ("auto", "exact", "grid", "myopic")
-SWEEP_AXES = ("rbs", "epsilon", "beta", "omega", "mu", "devices")
+# each sweep axis and the document key it sets
+SWEEP_AXES = {"rbs": "slices", "epsilon": "observation.epsilon", "beta": "policy.discount",
+              "omega": "controller.omega", "mu": "controller.mu",
+              "devices": "topology.devices"}
 
 
 class ConfigError(ValueError):
@@ -185,7 +188,10 @@ class Simulation:
     # -- policies and block layout ------------------------------------------
 
     def _policy(self, width: int):
-        """The planning policy of a slice `width` RBs wide, solved once per run."""
+        """The planning policy of a slice `width` RBs wide, solved once per run.
+
+        Under solver auto, outside the myopic case, a model whose planners
+        provably always access gets `pomdp.AccessPolicy` and no solve."""
         if width not in self._policies:
             model = PomdpModel(
                 markov=self.config.markov, obs=self.config.obs,
@@ -194,8 +200,13 @@ class Simulation:
                 rate_idle=np.full(width, self.rate_idle),
                 rate_busy=np.full(width, self.rate_busy),
                 sleep_sensing=self.config.sleep_sensing)
-            self._policies[width] = pomdp.solve(model, mode=self.config.solver_mode,
-                                                grid_points=self.config.grid_points)
+            if (self.config.solver_mode == "auto"
+                    and not model.action_independent_observations()
+                    and pomdp.access_certified(model)):
+                self._policies[width] = pomdp.AccessPolicy(model)
+            else:
+                self._policies[width] = pomdp.solve(model, mode=self.config.solver_mode,
+                                                    grid_points=self.config.grid_points)
         return self._policies[width]
 
     def _offsets(self) -> np.ndarray:
@@ -257,7 +268,7 @@ class Simulation:
             return self._access.draw(idle_now, policy_u)
         # the planner decides sleep or access; the access rule picks the RB
         widest = self._policy(self.beliefs.shape[1])
-        if widest.any_width:       # the myopic rule: it has the cheaper sign
+        if widest.any_width:       # myopic or certified: the cheaper sign
             access = widest.accesses(self.beliefs, self._belief_mask, slot)
         else:
             access = np.empty(self.n_devices, dtype=bool)
@@ -419,6 +430,17 @@ class SweepRow:
 
 
 def with_axis_value(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
+    """config with the sweep axis set to value.  A value its guard refuses
+    raises ConfigError under the axis's document key, with the guard's message."""
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
+    try:
+        return _set_axis(config, axis, value)
+    except ValueError as exc:
+        raise ConfigError(SWEEP_AXES[axis], str(exc)) from exc
+
+
+def _set_axis(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     if axis == "rbs":
         budget = int(value)
         slices = tuple(dataclasses.replace(s, access_rbs=budget)
@@ -457,7 +479,6 @@ def with_axis_value(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
                        for s, c in zip(config.slices, counts))
         topo = dataclasses.replace(config.topology, devices=total)
         return dataclasses.replace(config, slices=slices, topology=topo)
-    raise ValueError(f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
 
 
 def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],

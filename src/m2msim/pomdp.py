@@ -36,9 +36,14 @@ Three interchangeable solver modes:
           device does, and the greedy rule is provably optimal.  This is the
           production path for wide slices.
 
+The simulator reads only the sign of a planner's action, so under solver
+auto it certifies before it solves: where `access_certified` proves that
+exact and grid would access at every belief and slot, `AccessPolicy` stands
+in for them and nothing is solved.  The myopic case keeps its own rule.
+
 Every policy has `act_batch(beliefs (N, R), valid (N, R), slot) -> (N,)`;
-the planners need full-width rows.  The myopic rule also gives the sign
-alone (`accesses`), which skips its argmax when no device can sleep.
+the planners need full-width rows.  The myopic rule and `AccessPolicy` also
+give the sign alone (`accesses`), which skips the argmax.
 Ties: myopic rates are one product per RB and carry no float noise, so it
 takes their exact argmax (lowest RB first; sleep only when the best rate is
 <= 0).  Exact and grid values do carry noise, so `_pick_action` counts
@@ -427,6 +432,78 @@ class GridPolicy:
         for k, t in enumerate(self.tables[:-1]):
             lines.append(f"slot {k} value min {t.min():.12g} max {t.max():.12g}")
         return "\n".join(lines) + "\n"
+
+
+def access_certified(model: PomdpModel) -> bool:
+    """Whether every backend (true optimum, exact, grid) accesses at every
+    belief and slot of the model, by a closed-form bound; no solve.
+
+    Write w_k = slot_weight(k), W_k = sum_{j>k} w_j, lam = |p_ii - p_bi|,
+    g = max_r |rate_idle[r] - rate_busy[r]| and a_min the least expected
+    access rate after one prediction step, over RBs and beliefs (the
+    predicted idle probability lies between p_bi and p_ii).  The model is
+    certified iff for every slot k
+
+        w_k a_min - g lam W_k  >  1e-9 max(1, c (w_k + W_k)),
+
+    where c is the largest |rate|: the right side is `_pick_action`'s tie
+    band at the largest |q| any backend can produce, so sleep cannot win a tie.
+
+    Proof.  Let T_k be a backend's value at slot k: the true value, the
+    exact solver's alpha envelope (equal to it on product beliefs), or the
+    grid table read at the nearest point.  Let osc_r(T) be the largest change
+    of T when RB r's belief moves and the others stay fixed.  Claim:
+    osc_r(T_k) <= g lam (w_k + W_k).  T_K = 0; for k < K, T_k is a max over
+    actions, and a max moves no more than its largest term.  An action's
+    immediate term depends on RB r's belief only through the prediction
+    step, which scales its move by lam, so it moves by at most w_k g lam.
+    Its future term is an expectation of T_{k+1} at the posterior.  Beliefs
+    stay product-form and the other RBs' readings have a law that does not
+    depend on RB r's belief, so for each reading of the others the posterior
+    differs only in RB r's coordinate (the grid rounds each coordinate on its
+    own), and the conditional mean of T_{k+1} moves by at most
+    osc_r(T_{k+1}) <= g lam W_k.  Now sleep and access-r differ only in RB
+    r's reading law (flip phi or epsilon, or heard or not), so given the
+    other readings their future terms are both means of T_{k+1} over RB r's
+    coordinate alone and differ by at most g lam W_k, while access-r earns at
+    least w_k a_min now.  Hence q(access-r) - q(sleep) >= w_k a_min -
+    g lam W_k, which beats the tie band.
+
+    The bound does not decay with |lam|^(j-k): that holds for the true value
+    but not for the grid, whose nearest-point lookup does not contract.
+    Discount 0 with horizon >= 2 gives w_k = 0 and is never certified.
+    """
+    ri, rb = model.rate_idle, model.rate_busy
+    p_ii, p_bi = model.markov.p_idle_idle, model.markov.p_busy_idle
+    lam = abs(p_ii - p_bi)
+    g = np.max(np.abs(ri - rb))
+    a_min = min(np.min(rb + p_ii * (ri - rb)), np.min(rb + p_bi * (ri - rb)))
+    w = np.array([model.slot_weight(k) for k in range(model.horizon)])
+    later = np.append(np.cumsum(w[::-1])[::-1][1:], 0.0)       # W_k
+    band = 1e-9 * np.maximum(1.0, np.max(np.abs(np.append(ri, rb))) * (w + later))
+    return bool(np.all(w * a_min - g * lam * later > band))
+
+
+class AccessPolicy:
+    """Always access: what exact and grid choose wherever `access_certified`
+    holds, known without solving.  Only the sign is certified, and it is all
+    the simulator reads; act_batch names the greedy RB (the lowest of the
+    best expected rates), as the myopic rule does.  Any width (see MyopicPolicy).
+    """
+
+    mode = "certified"
+    any_width = True
+
+    def __init__(self, model: PomdpModel):
+        self.model = model
+
+    def act_batch(self, beliefs: np.ndarray, valid: np.ndarray, slot: int) -> np.ndarray:
+        exp_rate = _predicted_rates(self.model, beliefs)
+        exp_rate[~valid] = -np.inf
+        return np.argmax(exp_rate, axis=1) + 1
+
+    def accesses(self, beliefs: np.ndarray, valid: np.ndarray, slot: int) -> np.ndarray:
+        return np.ones(len(beliefs), dtype=bool)
 
 
 def _pick_action(q: np.ndarray) -> np.ndarray:

@@ -146,12 +146,19 @@ class TestSweep:
 
     def test_axis_value_that_breaks_a_rule_names_the_key(self, tmp_path, capsys):
         # two slices of 6 RBs overfill the 10-RB pool: a scenario rule, so a
-        # config error under the key it names, not a runtime failure
-        code = run_cli(["sweep", *SMALL, "--axis", "rbs", "--values", "6",
-                        "--seeds", "2", "--out", str(tmp_path)])
-        assert code == cli.EXIT_CONFIG
-        assert "config error: slices: initial slice access RBs exceed" in \
-            capsys.readouterr().err
+        # config error under the key it names, not a runtime failure; so is
+        # a value a dataclass guard refuses, under the axis's document key
+        for axis, value, message in [
+                ("rbs", "6", "slices: initial slice access RBs exceed"),
+                ("epsilon", "1.5", "observation.epsilon: epsilon must lie in [0, 1]"),
+                ("omega", "1.0", "controller.omega: omega must lie strictly inside"),
+                ("mu", "-1", "controller.mu: mu must be positive"),
+                ("devices", "1", "topology.devices: devices axis value must cover"),
+                ("rbs", "0", "slices: a slice needs at least one access RB")]:
+            code = run_cli(["sweep", *SMALL, "--axis", axis, "--values", value,
+                            "--seeds", "2", "--out", str(tmp_path)])
+            assert code == cli.EXIT_CONFIG, (axis, value)
+            assert f"config error: {message}" in capsys.readouterr().err
 
 
 class TestVerify:

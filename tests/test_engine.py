@@ -7,7 +7,7 @@ import pytest
 from conftest import PINNED_MARKOV, paired, small_radio, tiny_config
 from m2msim import pomdp
 from m2msim.channel import BUSY, IDLE, CellTopology, Timebase
-from m2msim.config import ConfigError
+from m2msim.config import ConfigError, load_config
 from m2msim.controller import ControllerParams
 from m2msim.engine import (SLOT_RECORD, ScenarioConfig, Simulation,
                            aggregate_sweep, planning_rates, run_simulation,
@@ -198,14 +198,7 @@ def test_each_slice_width_is_solved_once_per_run(solver_mode, monkeypatch):
                                data_rbs=0, weight=1.0)),
         timebase=Timebase(slot_duration=1e-3, slots_per_period=5, periods=6),
         controller_enabled=True, solver_mode=solver_mode, grid_points=5, seed=2)
-    solved = Counter()
-    real_solve = pomdp.solve
-
-    def counting_solve(model, **kwargs):
-        solved[model.n_rbs] += 1
-        return real_solve(model, **kwargs)
-
-    monkeypatch.setattr(pomdp, "solve", counting_solve)
+    solved = _count_solves(monkeypatch)
     summary = run_simulation(cfg)
     widths = {row.access_rbs for row in summary.period_rows}
     assert len(widths) > 1  # the controller moved RBs, so widths changed
@@ -214,6 +207,49 @@ def test_each_slice_width_is_solved_once_per_run(solver_mode, monkeypatch):
         assert set(solved) == widths       # one planner per width in use
     else:
         assert set(solved) <= widths       # the widest greedy rule serves all
+
+
+def _count_solves(monkeypatch) -> Counter:
+    """Count `pomdp.solve` calls by RB count from here on."""
+    solved = Counter()
+    real_solve = pomdp.solve
+
+    def counting_solve(model, **kwargs):
+        solved[model.n_rbs] += 1
+        return real_solve(model, **kwargs)
+
+    monkeypatch.setattr(pomdp, "solve", counting_solve)
+    return solved
+
+
+def test_certified_auto_run_solves_nothing_and_matches_exact(monkeypatch):
+    """With eps != phi the planners provably always access here, so solver
+    auto solves nothing and its run equals the exact planner's."""
+    cfg = tiny_config(obs=ObservationModel(0.1, 0.3), force_equal_noise=False,
+                      timebase=Timebase(slot_duration=1e-3, slots_per_period=4,
+                                        periods=3), seed=11)
+    solved = _count_solves(monkeypatch)
+    auto = run_simulation(cfg, record_slots=True)
+    assert not solved
+    exact = run_simulation(paired(cfg, solver_mode="exact"), record_slots=True)
+    assert solved == {2: 1}
+    assert auto.period_rows == exact.period_rows
+    assert np.array_equal(auto.slot_records, exact.slot_records)
+
+
+def test_certified_wide_slices_need_no_grid(monkeypatch):
+    """two-slice at 5 RBs a slice with phi 0.2 once sent auto to a 101**5
+    grid, past its cap; access is certified there, so the run completes
+    without a solve and every device accesses every slot."""
+    cfg = load_config("two-slice", ["observation.force_equal_noise=false",
+                                    "observation.phi=0.2", "controller_enabled=false",
+                                    "timebase.slots_per_period=8", "timebase.periods=2"])
+    solved = _count_solves(monkeypatch)
+    summary = run_simulation(cfg, record_slots=True)
+    assert not solved
+    assert np.all(summary.slot_records["action"] > 0)
+    with pytest.raises(pomdp.SolverCapError, match="101\\*\\*5"):
+        run_simulation(paired(cfg, solver_mode="grid"))
 
 
 def test_belief_carry_over_follows_pool_indices():

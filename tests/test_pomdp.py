@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import PINNED_MARKOV, small_radio
 from m2msim import cli, pomdp
 from m2msim.channel import RbMarkov
 from m2msim.pomdp import (SLEEP, BeliefUpdateError, MyopicPolicy,
                           ObservationModel, PomdpModel, SliceAccess,
-                          SolverCapError, belief_propagate, belief_update,
-                          exhaustive_policy_value, exhaustive_value, observe,
-                          solve, solve_exact, solve_grid, total_discounted_reward)
+                          SolverCapError, access_certified, belief_propagate,
+                          belief_update, exhaustive_policy_value, exhaustive_value,
+                          observe, solve, solve_exact, solve_grid,
+                          total_discounted_reward)
 
 
 def small_model(n_rbs=2, horizon=3, eps=0.2, phi=None, discount=0.9,
@@ -120,6 +123,45 @@ def test_bayes_update_rows_match_belief_update(eps, phi, sleep_sensing):
         rows = np.array([belief_update(beliefs[i], actions[i], readings[i],
                                        markov, obs_model) for i in range(n)])
         assert np.array_equal(batched, rows)
+
+
+flips = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_beliefs_stay_in_bounds(data):
+    """`bayes_update` and `belief_update` keep every entry finite and in
+    [0, 1], for flip rates on both sides of 0.5 (phi = 0 and eps != phi
+    among them), with and without sleep sensing."""
+    p_ii, p_bi = data.draw(flips, label="p_ii"), data.draw(flips, label="p_bi")
+    markov = RbMarkov(p_ii, 1.0 - p_ii, p_bi, 1.0 - p_bi)
+    obs_model = ObservationModel(data.draw(flips, label="eps"),
+                                 data.draw(flips, label="phi"))
+    sleep_sensing = data.draw(st.booleans(), label="sleep_sensing")
+    n, width = data.draw(st.integers(1, 6), label="n"), data.draw(st.integers(1, 4))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    beliefs = rng.random((n, width))
+    beliefs[rng.random((n, width)) < 0.2] = 0.0
+    beliefs[rng.random((n, width)) < 0.2] = 1.0
+    for _ in range(20):
+        actions = rng.integers(0, width + 1, size=n)
+        saw_idle = rng.random((n, width)) < 0.5
+        readings = np.where(saw_idle, 0, 1)
+        if not sleep_sensing:
+            readings[np.arange(width) != actions[:, None] - 1] = -1
+        for b, a, o in zip(beliefs, actions, readings):
+            try:
+                post = belief_update(b, a, o, markov, obs_model)
+            except BeliefUpdateError:
+                continue
+            assert np.all(np.isfinite(post))
+            assert np.all((post >= 0.0) & (post <= 1.0))
+        beliefs = pomdp.bayes_update(belief_propagate(beliefs, markov), actions, saw_idle,
+                                     obs_model, sleep_sensing)
+        assert np.all(np.isfinite(beliefs))
+        assert np.all((beliefs >= 0.0) & (beliefs <= 1.0))
 
 
 class TestObserve:
@@ -456,6 +498,73 @@ class TestSolvers:
             text = policy.dump()
             assert text.startswith("policy-dump v1")
             assert f"mode: {policy.mode}" in text
+
+
+def _mesh(n_rbs: int, points: int) -> np.ndarray:
+    axes = [np.linspace(0.0, 1.0, points)] * n_rbs
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n_rbs)
+
+
+def _sleeps(policy, beliefs: np.ndarray) -> bool:
+    valid = np.ones(beliefs.shape, dtype=bool)
+    return any(np.any(policy.act_batch(beliefs, valid, k) == SLEEP)
+               for k in range(policy.model.horizon))
+
+
+class TestAccessCertificate:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_certified_models_are_never_slept_by_a_solver(self, data):
+        """Wherever `access_certified` holds, grid (11 points) and exact (R <=
+        2, horizon <= 4) access at 300 random beliefs and the 11-point mesh,
+        at every slot."""
+        n_rbs = data.draw(st.integers(1, 3), label="rbs")
+        horizon = data.draw(st.integers(1, 6), label="horizon")
+        # half the draws from the sticky, low-busy-rate corner where sleep can pay
+        p_ii = data.draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.95, 1.0)), label="p_ii")
+        p_bi = data.draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 0.05)), label="p_bi")
+        rate_idle = np.array(data.draw(st.lists(st.floats(1.0, 1e6), min_size=n_rbs,
+                                                max_size=n_rbs), label="rate_idle"))
+        ratios = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-3))
+        busy_ratio = np.array(data.draw(st.lists(ratios, min_size=n_rbs, max_size=n_rbs),
+                                        label="busy/idle"))
+        model = PomdpModel(
+            markov=RbMarkov(p_ii, 1.0 - p_ii, p_bi, 1.0 - p_bi),
+            obs=ObservationModel(data.draw(st.floats(0.0, 0.5), label="eps"),
+                                 data.draw(st.floats(0.0, 0.5), label="phi")),
+            horizon=horizon,
+            discount=data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]), label="discount"),
+            rate_idle=rate_idle, rate_busy=rate_idle * busy_ratio,
+            sleep_sensing=data.draw(st.booleans(), label="sleep_sensing"))
+        assume(access_certified(model))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        beliefs = np.vstack([rng.random((300, n_rbs)), _mesh(n_rbs, 11)])
+        assert not _sleeps(solve_grid(model, 11), beliefs)
+        if n_rbs <= 2 and horizon <= 4:
+            assert not _sleeps(solve_exact(model), beliefs)
+
+    def test_sleep_paying_regime_falls_back_to_the_solver(self):
+        """A sticky chain, a busy/idle rate ratio of 1e-3 and eps >> phi make
+        sleep pay near all-busy beliefs: not certified, and grid sleeps."""
+        model = PomdpModel(markov=RbMarkov(0.99, 0.01, 0.01, 0.99),
+                           obs=ObservationModel(0.45, 0.02), horizon=3, discount=0.9,
+                           rate_idle=np.ones(2), rate_busy=np.full(2, 1e-3))
+        assert not access_certified(model)
+        assert _sleeps(solve_grid(model, 41), _mesh(2, 41))
+
+    def test_zero_discount_is_never_certified(self):
+        # earlier slots weigh 0, so access earns nothing there
+        assert not access_certified(small_model(horizon=3, eps=0.1, phi=0.3, discount=0.0))
+        assert access_certified(small_model(horizon=3, eps=0.1, phi=0.3, discount=0.9))
+
+    def test_access_policy_always_accesses(self):
+        model = small_model(n_rbs=3, eps=0.1, phi=0.3)
+        policy = pomdp.AccessPolicy(model)
+        beliefs = np.random.default_rng(8).random((50, 3))
+        valid = np.arange(3) < np.array([1, 2, 3] * 16 + [3, 3])[:, None]
+        assert np.all(policy.accesses(beliefs, valid, 0))
+        actions = policy.act_batch(beliefs * valid, valid, 0)
+        assert np.all((actions >= 1) & (actions <= valid.sum(axis=1)))
 
 
 class TestModelValidation:
