@@ -18,6 +18,7 @@ import functools
 import hashlib
 import io
 import itertools
+import logging
 import os
 import sys
 import tempfile
@@ -48,7 +49,7 @@ SUMMARY_HEADER = ["run_id", "seed", "axis_value",
                   "mean_discounted_reward", "final_max_abs_gap"]
 SLOT_HEADER = [*engine.SLOT_RECORD.names, "reward"]   # reward repeats the rate
 AGG_HEADER = ["axis_value", "mean", "stderr"]
-SLOT_BLOCK = 4096   # slot records turned into CSV rows at a time
+SLOT_BLOCK = 2048   # slot records formatted and written at a time
 
 
 def _fmt(x: float) -> str:
@@ -77,20 +78,41 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
         writer.writerows(rows)
 
 
+def _log_to_stderr(level) -> None:
+    """Send the package's log records at `level` and above to stderr; also
+    the sweep pool's initializer, so workers not forked from main log too."""
+    logger = logging.getLogger(__package__)
+    logger.setLevel(level)
+    if not logger.handlers:
+        handler = logging.StreamHandler()
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        logger.addHandler(handler)
+
+
 def _period_rows(summary: engine.RunSummary) -> List[List]:
     return [[r.period, r.slice_id, _fmt(r.obtained_rate), _fmt(r.filtered_rate),
              _fmt(r.xi), _fmt(r.xi_star), _fmt(r.gap), _fmt(r.delta_raw),
              r.delta_applied, r.access_rbs] for r in summary.period_rows]
 
 
-def _slot_rows(summary: engine.RunSummary) -> Iterable[List]:
-    # converted a block at a time: Python rows for the whole run at once
-    # would outgrow the records themselves
-    records = summary.slot_records
-    for start in range(0, records.size, SLOT_BLOCK):
-        for *fields, rate in records[start:start + SLOT_BLOCK].tolist():
-            rate = _fmt(rate)
-            yield [*fields, rate, rate]
+def _write_slots(path: Path, records: np.ndarray) -> None:
+    """Write slots.csv one SLOT_BLOCK of records at a time, column by column.
+
+    Every field is a number, so nothing needs quoting: each int column is one
+    `%d` format (equal to str), the rate is one `%.9g` format (equal to
+    `_fmt`) written as both rate and reward, and rows end in csv.writer's
+    CRLF.  Blocks are written as they are formatted, never joined for the
+    whole run."""
+    ints = engine.SLOT_RECORD.names[:-1]
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(SLOT_HEADER) + "\r\n")
+        for start in range(0, records.size, SLOT_BLOCK):
+            block = records[start:start + SLOT_BLOCK]
+            n = block.size
+            columns = [("%d\n" * n % tuple(block[name].tolist())).splitlines()
+                       for name in ints]
+            rate = ("%.9g\n" * n % tuple(block["rate"].tolist())).splitlines()
+            fh.write("\r\n".join(map(",".join, zip(*columns, rate, rate))) + "\r\n")
 
 
 # -- run ----------------------------------------------------------------------
@@ -105,7 +127,7 @@ def cmd_run(args) -> int:
                [[rid, cfg.seed, "", _fmt(summary.mean_discounted_reward),
                  _fmt(summary.final_max_abs_gap)]])
     if args.slots:
-        _write_csv(out / "slots.csv", SLOT_HEADER, _slot_rows(summary))
+        _write_slots(out / "slots.csv", summary.slot_records)
     print(f"{rid}: mean_discounted_reward={_fmt(summary.mean_discounted_reward)} "
           f"final_max_abs_gap={_fmt(summary.final_max_abs_gap)} -> {out}")
     return EXIT_OK
@@ -149,7 +171,10 @@ def _run_sweep(cfg: ScenarioConfig, axis: str, values: List[float],
     workers = min(len(values) * len(seeds), os.cpu_count() or 1, 8)
     if workers > 1:
         try:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            level = logging.getLogger(__package__).level
+            with concurrent.futures.ProcessPoolExecutor(
+                    max_workers=workers, initializer=_log_to_stderr,
+                    initargs=(level,)) as pool:
                 return engine.run_sweep(cfg, axis, values, seeds,
                                         functools.partial(pool.map, chunksize=1))
         except (OSError, concurrent.futures.process.BrokenProcessPool):
@@ -340,6 +365,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="override the scenario seed")
     sub.add_argument("--out", default=None,
                      help=f"output directory (default ${OUT_ENV} or ./out)")
+    sub.add_argument("--log-level", choices=("debug", "info", "warning", "error"),
+                     default="warning",
+                     help="least severe log message printed to stderr")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,6 +402,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    logger = logging.getLogger(__package__)
+    saved = logger.level, list(logger.handlers)
+    _log_to_stderr(getattr(args, "log_level", "warning").upper())
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -382,6 +413,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:
         print(f"m2msim: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        logger.setLevel(saved[0])
+        logger.handlers[:] = saved[1]
 
 
 if __name__ == "__main__":

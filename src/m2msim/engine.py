@@ -183,6 +183,13 @@ class Simulation:
         self.period_rows: List[PeriodRow] = []
         self.period_mean_rewards: List[float] = []
         self._slot_blocks: List[np.ndarray] = []
+        if record_slots:
+            # the slot records' per-run columns; the pool index reads -1 in
+            # the silent bin that sleepers point at
+            self._device_ids = np.arange(self.n_devices)
+            self._device_slice_ids = np.array(
+                [s.slice_id for s in config.slices])[self.device_slice]
+            self._rb_global = np.append(np.arange(self.pool), -1)
         self._final_gap = np.zeros(self.n_slices)
 
     # -- policies and block layout ------------------------------------------
@@ -297,17 +304,16 @@ class Simulation:
 
     def _record(self, slot, actions, rb, rates, saw_idle):
         """Append the slot's block of SLOT_RECORDs, one per device."""
-        devices = np.arange(self.n_devices)
         block = np.empty(self.n_devices, dtype=SLOT_RECORD)
         block["period"] = self.period_index
         block["slot"] = slot
-        block["slice"] = np.array([s.slice_id for s in self.config.slices])[self.device_slice]
-        block["device"] = devices
+        block["slice"] = self._device_slice_ids
+        block["device"] = self._device_ids
         block["action"] = actions
         # sleepers point at the silent bin past the pool, which reads -1
-        block["rb_global"] = np.append(np.arange(self.pool), -1)[rb]
+        block["rb_global"] = self._rb_global[rb]
         block["rb_state"] = np.append(self.rb_states, -1)[rb]
-        heard = np.where(saw_idle[devices, actions - 1], IDLE, BUSY)
+        heard = np.where(saw_idle[self._device_ids, actions - 1], IDLE, BUSY)
         block["observation"] = np.where(actions > 0, heard, -1)
         block["rate"] = rates
         self._slot_blocks.append(block)

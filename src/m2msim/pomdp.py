@@ -971,15 +971,22 @@ def _grid_action_values(model: PomdpModel, beliefs: np.ndarray, slot: int,
 
 
 def solve_grid(model: PomdpModel, grid_points: int = 101,
-               max_table: int = 4_000_000) -> GridPolicy:
-    """Value tables on the product belief grid, nearest-point lookups."""
+               max_entries: int = 4_000_000) -> GridPolicy:
+    """Value tables on the product belief grid, nearest-point lookups.
+
+    Refused up front when the float entries it keeps exceed `max_entries`
+    (by default 32 MB of float64): horizon + 1 value tables, the (G**R, R)
+    mesh and the (G**R, R + 1) action values.  The backup's per-branch
+    temporaries come on top of that count."""
     n = model.n_rbs
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    if grid_points ** n > max_table:
+    entries = grid_points ** n * (model.horizon + 1 + n + n + 1)
+    if entries > max_entries:
         raise SolverCapError(
-            f"grid of {grid_points}**{n} points exceeds {max_table} entries; "
-            "reduce grid_points or the RB count")
+            f"grid of {grid_points}**{n} points over {model.horizon} slots holds "
+            f"{entries} entries, past the cap of {max_entries}; "
+            "reduce grid_points, the RB count or the horizon")
     axes = [np.linspace(0.0, 1.0, grid_points)] * n
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     shape = (grid_points,) * n

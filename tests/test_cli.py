@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import m2msim
-from m2msim import cli
+from m2msim import cli, engine
 
 
 def read_csv(path):
@@ -79,6 +80,25 @@ class TestRun:
         rate, reward = cli.SLOT_HEADER.index("rate"), cli.SLOT_HEADER.index("reward")
         assert all(r[reward] == r[rate] for r in rows)
 
+    def test_log_level_info_prints_the_trim_line(self, tmp_path, capsys):
+        # two-slice asks for more RBs than the pool holds by period 3
+        args = ["run", "--config", "two-slice", "--set", "timebase.periods=3"]
+        assert run_cli([*args, "--out", str(tmp_path / "a")]) == cli.EXIT_OK
+        assert "trimming" not in capsys.readouterr().err
+        assert run_cli([*args, "--log-level", "info",
+                        "--out", str(tmp_path / "b")]) == cli.EXIT_OK
+        assert ("INFO m2msim.controller: access pool full: trimming"
+                in capsys.readouterr().err)
+
+    def test_log_level_leaves_the_tables_alone(self, tmp_path):
+        args = ["run", "--config", "two-slice", "--set", "timebase.periods=3",
+                "--slots"]
+        quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+        assert run_cli([*args, "--out", str(quiet)]) == cli.EXIT_OK
+        assert run_cli([*args, "--log-level", "debug", "--out", str(loud)]) == cli.EXIT_OK
+        for name in ("periods.csv", "summary.csv", "slots.csv"):
+            assert (quiet / name).read_bytes() == (loud / name).read_bytes()
+
     def test_out_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_ENV, str(tmp_path / "from_env"))
         assert run_cli(["run", *SMALL]) == cli.EXIT_OK
@@ -96,6 +116,33 @@ class TestRun:
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "five-slice" in err and "two-slice" in err
+
+
+def _reference_slots(path, records):
+    """slots.csv as csv.writer writes it, one row per record."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cli.SLOT_HEADER)
+        for *fields, rate in records.tolist():
+            writer.writerow([*fields, format(rate, ".9g"), format(rate, ".9g")])
+
+
+@pytest.mark.parametrize("size", [0, 1, cli.SLOT_BLOCK, cli.SLOT_BLOCK + 1])
+def test_slot_writer_matches_csv_writer(tmp_path, size):
+    rng = np.random.default_rng(size)
+    records = np.zeros(size, dtype=engine.SLOT_RECORD)
+    for name in engine.SLOT_RECORD.names[:-1]:
+        records[name] = rng.integers(0, 10 ** 6, size)
+    rates = np.array([0.0, -0.0, 5e-324, 1e-05, 123456789.0, 1.5e300])
+    records["rate"] = rates[np.arange(size) % rates.size]
+    records["rate"][1::7] = rng.random(len(records[1::7])) * 1e7
+    sleepers = records[::3]    # a view: a sleeper reads -1 in block, state and reading
+    sleepers["action"] = 0
+    for name in ("rb_global", "rb_state", "observation"):
+        sleepers[name] = -1
+    cli._write_slots(tmp_path / "fast.csv", records)
+    _reference_slots(tmp_path / "reference.csv", records)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestSweep:

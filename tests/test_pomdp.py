@@ -463,6 +463,18 @@ class TestSolvers:
         with pytest.raises(SolverCapError):
             solve_grid(small_model(n_rbs=2), grid_points=3000)
 
+    def test_grid_cap_counts_every_array_it_holds(self):
+        # horizon + 1 value tables, the (G**R, R) mesh and the (G**R, R + 1)
+        # action values; 1001**2 points fit the cap as one table, not as 9
+        model = small_model(n_rbs=2, horizon=3)
+        assert 1001 ** 2 <= 4_000_000
+        with pytest.raises(SolverCapError, match="1001\\*\\*2"):
+            solve_grid(model, grid_points=1001)
+        entries = 11 ** 2 * (3 + 1 + 2 + 2 + 1)
+        solve_grid(model, grid_points=11, max_entries=entries)
+        with pytest.raises(SolverCapError):
+            solve_grid(model, grid_points=11, max_entries=entries - 1)
+
     def test_exact_cap(self):
         model = PomdpModel(markov=PINNED_MARKOV,
                            obs=ObservationModel.symmetric(0.1),
