@@ -7,6 +7,10 @@ the slot records became one structured array, and the watts-random case
 before one schema table replaced the per-section config readers.  A change
 that alters any simulated number, its formatting or the serialized scenario
 behind a run id shows up here, not only in the benchmark.
+
+The sweep digests pin `m2msim sweep`, whose runs share a batched slot loop:
+the benchmark's epsilon sweep, and a devices sweep with the controller on,
+so that the runs of one batch differ in size and their allocations diverge.
 """
 
 import hashlib
@@ -97,3 +101,26 @@ def test_run_tables_match_recorded_digests(profile, seed, overrides, tmp_path, c
     assert _sha256(tmp_path / "summary.csv") == summary
     if slots:
         assert _sha256(tmp_path / "slots.csv") == slots
+
+
+# (axis, values, extra arguments) -> sha256 of (sweep.csv, sweep_agg.csv);
+# five-slice, two seeds from seed 1
+SWEEP_GOLDEN = {
+    ("epsilon", "0.1..0.8:0.1", ()): (
+        "3e6d01921666c6f7715af7b494d7da44d51792568ebefb4236b08ae555ff1155",
+        "6f988cc8b5eadcc088f2bce21c8c7549a1a59d8b08abd323388ca1f327c3552d"),
+    ("devices", "10,50,120", ("--set", "timebase.periods=12")): (
+        "b36c2360807acaeaa2dcf5263f8ae3b4470dac3d3a5e3066e298bdb06f9f697f",
+        "2d3dd8d2b285b3d1c66a81413607c26291e02bb94370a818ef651ffb3ccc8c96"),
+}
+
+
+@pytest.mark.parametrize("axis,values,extra", sorted(SWEEP_GOLDEN),
+                         ids=[case[0] for case in sorted(SWEEP_GOLDEN)])
+def test_sweep_tables_match_recorded_digests(axis, values, extra, tmp_path, capsys):
+    sweep, agg = SWEEP_GOLDEN[(axis, values, extra)]
+    code = cli.main(["sweep", "--config", "five-slice", "--axis", axis, "--values", values,
+                     "--seeds", "2", "--seed", "1", "--out", str(tmp_path), *extra])
+    assert code == cli.EXIT_OK
+    assert _sha256(tmp_path / "sweep.csv") == sweep
+    assert _sha256(tmp_path / "sweep_agg.csv") == agg
