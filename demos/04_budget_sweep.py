@@ -14,14 +14,14 @@ import dataclasses
 
 import numpy as np
 
-from m2msim import load_config, run_simulation, with_axis_value
+from m2msim import load_config, run_sweep
 
 
-def arm_mean(cfg, budget: int, seeds) -> float:
-    variant = with_axis_value(cfg, "rbs", budget)
-    vals = [run_simulation(dataclasses.replace(variant, seed=s)).mean_discounted_reward
-            for s in seeds]
-    return float(np.mean(vals))
+def arm_means(cfg, budgets, seeds) -> np.ndarray:
+    """Seed-mean reward per budget; the arm's runs go through one batch."""
+    rows = run_sweep(cfg, "rbs", budgets, seeds)
+    rewards = [row.summary.mean_discounted_reward for row in rows]
+    return np.array(rewards).reshape(len(budgets), len(seeds)).mean(axis=1)
 
 
 def main() -> None:
@@ -33,10 +33,11 @@ def main() -> None:
         "random": dataclasses.replace(base, controller_enabled=False,
                                       policy_mode="random"),
     }
+    budgets = (1, 2, 3, 4, 5)
+    means = [arm_means(cfg, budgets, seeds) for cfg in arms.values()]
     print("budget  " + "".join(f"{name:>18}" for name in arms))
-    for budget in (1, 2, 3, 4, 5):
-        row = [arm_mean(cfg, budget, seeds) for cfg in arms.values()]
-        print(f"{budget:6d}  " + "".join(f"{v:18.4g}" for v in row))
+    for i, budget in enumerate(budgets):
+        print(f"{budget:6d}  " + "".join(f"{m[i]:18.4g}" for m in means))
 
 
 if __name__ == "__main__":

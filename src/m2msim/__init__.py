@@ -7,7 +7,7 @@ from .config import ConfigError, list_profiles, load_config, serialize
 from .controller import (ControllerParams, apply_allocation, closed_loop_reference,
                          delta_rbs, smooth)
 from .engine import (RunSummary, ScenarioConfig, Simulation, aggregate_sweep,
-                     run_simulation, run_sweep, with_axis_value)
+                     run_batch, run_simulation, run_sweep, with_axis_value)
 from .pomdp import (ObservationModel, PomdpModel, belief_propagate, belief_update,
                     observe, solve, total_discounted_reward)
 from .slicing import VirtualNetwork, period_average_rate, ratios
@@ -21,7 +21,7 @@ __all__ = [
     "delta_rbs", "smooth",
     "ConfigError", "list_profiles", "load_config", "serialize",
     "RunSummary", "ScenarioConfig", "Simulation", "aggregate_sweep",
-    "run_simulation", "run_sweep", "with_axis_value",
+    "run_batch", "run_simulation", "run_sweep", "with_axis_value",
     "ObservationModel", "PomdpModel", "belief_propagate",
     "belief_update", "observe", "solve", "total_discounted_reward",
     "VirtualNetwork", "period_average_rate", "ratios",

@@ -14,7 +14,6 @@ import concurrent.futures
 import contextlib
 import csv
 import dataclasses
-import functools
 import hashlib
 import io
 import itertools
@@ -168,6 +167,8 @@ def _parse_values(axis: str, text: str) -> List[float]:
 
 def _run_sweep(cfg: ScenarioConfig, axis: str, values: List[float],
                seeds: List[int]) -> List[engine.SweepRow]:
+    """The sweep's runs as one batch per worker process, or in-process as
+    one batch where processes cannot be started."""
     workers = min(len(values) * len(seeds), os.cpu_count() or 1, 8)
     if workers > 1:
         try:
@@ -175,8 +176,7 @@ def _run_sweep(cfg: ScenarioConfig, axis: str, values: List[float],
             with concurrent.futures.ProcessPoolExecutor(
                     max_workers=workers, initializer=_log_to_stderr,
                     initargs=(level,)) as pool:
-                return engine.run_sweep(cfg, axis, values, seeds,
-                                        functools.partial(pool.map, chunksize=1))
+                return engine.run_sweep(cfg, axis, values, seeds, pool.map, batches=workers)
         except (OSError, concurrent.futures.process.BrokenProcessPool):
             pass  # no subprocess support here; fall back to in-process
     return engine.run_sweep(cfg, axis, values, seeds)
@@ -303,8 +303,8 @@ def _check_determinism() -> Tuple[bool, str]:
         cfg = cfglib.load_config(profile)
         topo = cfg.topology
         covered &= topo.access_rbs + topo.data_rbs == topo.total_rbs
-        for seed in (1, 2, 3):
-            summary = run_simulation(dataclasses.replace(cfg, seed=seed))
+        for summary in engine.run_batch([dataclasses.replace(cfg, seed=seed)
+                                         for seed in (1, 2, 3)]):
             for _, rows in itertools.groupby(summary.period_rows, lambda r: r.period):
                 rows = list(rows)
                 worst_gap_sum = max(worst_gap_sum, abs(sum(r.gap for r in rows)))

@@ -131,6 +131,18 @@ class RunSummary:
     slot_records: Optional[np.ndarray] = None
 
 
+@dataclass
+class BatchSummary:
+    """A batch's results: runs[i] is the run of the batch's i-th config."""
+
+    runs: List[RunSummary]
+
+    @property
+    def period_rows(self) -> List[PeriodRow]:
+        """Every run's period rows, run after run."""
+        return [row for run in self.runs for row in run.period_rows]
+
+
 def planning_rates(radio: RadioParams) -> Tuple[float, float]:
     """Mean-gain planning rates on an idle / busy RB (one busy-source interferer)."""
     idle = rate(radio.tx_power, 0.0, radio)
@@ -138,117 +150,205 @@ def planning_rates(radio: RadioParams) -> Tuple[float, float]:
     return float(idle), float(busy)
 
 
-class Simulation:
-    """One seeded scenario run; use run() or step through run_period()."""
+# what the runs of a batch share: the slot loop's clock, the channel and the arm
+BATCH_SHARED = ("timebase", "markov", "radio", "policy_mode", "sleep_sensing",
+                "hard_collision")
+# bytes of random draws made at a time: whole periods for small runs, one slot
+# at a time once a slot's draws reach this (5000 devices on 25 RBs)
+_DRAW_BYTES = 1 << 20
 
-    def __init__(self, config: ScenarioConfig, record_slots: bool = False):
-        config.validate()
-        self.config = config
-        self.record_slots = record_slots
-        self.n_devices = config.topology.devices
-        self.pool = config.topology.access_rbs
-        self.n_slices = len(config.slices)
 
+def _per_row(values: Sequence[float], rows: Sequence[int]):
+    """values[i] for the rows[i] rows of run i: a float when all are equal,
+    else an (N, 1) column."""
+    if all(v == values[0] for v in values):
+        return float(values[0])
+    return np.repeat(values, rows)[:, None]
+
+
+class _Run:
+    """One run of a batch: its rows, RBs and slices in the batch, its random
+    streams, and its own controller and policy state."""
+
+    def __init__(self, config: ScenarioConfig, rows: slice, rbs: slice, slices: slice):
+        self.config, self.rows, self.rbs, self.slices = config, rows, rbs, slices
         seq = np.random.SeedSequence(config.seed)
-        (self._state_rng, self._gain_rng, self._bg_rng,
-         self._obs_rng, self._policy_rng) = map(np.random.default_rng, seq.spawn(5))
-
-        self.device_slice = np.repeat(np.arange(self.n_slices),
-                                      [s.devices for s in config.slices])
-        self.allocation = [s.access_rbs for s in config.slices]
+        self.streams = tuple(map(np.random.default_rng, seq.spawn(5)))
         self.weights = np.array([s.weight for s in config.slices], dtype=float)
-
-        stationary = config.markov.stationary_idle()
-        self.rb_states = np.where(
-            self._state_rng.random(self.pool) < stationary, IDLE, BUSY)
-
-        self.rate_idle, self.rate_busy = planning_rates(config.radio)
-
+        self.policies: Dict[int, object] = {}
+        self.width = 0                          # its widest block this period
         self.filtered_rates: Optional[np.ndarray] = None
-        self.prev_gap = np.zeros(self.n_slices)
+        self.prev_gap = np.zeros(len(config.slices))
+        self.final_gap = np.zeros(len(config.slices))
+        self.period_rows: List[PeriodRow] = []
+        self.period_mean_rewards: List[float] = []
+
+
+class Simulation:
+    """A batch of seeded scenario runs stepped through one slot loop; use
+    run() or step through run_period().
+
+    The runs' device rows are stacked, run after run, and so are their RB
+    pools and their slices; the beliefs are padded to the widest block of
+    the batch and `_belief_mask` masks the padding out.  Each run keeps its
+    own random streams, allocation, controller state, policies and access-rule
+    tables.  Elementwise steps, bincounts over the stacked bins and sums down
+    a device's beliefs give each row the bits it gets in a run of its own; a
+    matrix product's sums depend on the operand's shape, so every one runs
+    once per run on the run's own rows.  Row i of a batch is therefore
+    `run_simulation(configs[i])` bit for bit.  The runs must share
+    BATCH_SHARED.
+    """
+
+    def __init__(self, configs: Sequence[ScenarioConfig], record_slots: bool = False):
+        configs = list(configs)
+        if not configs:
+            raise ValueError("a batch needs at least one run")
+        for cfg in configs:
+            cfg.validate()
+        for name in BATCH_SHARED:
+            if any(getattr(cfg, name) != getattr(configs[0], name) for cfg in configs):
+                raise ValueError(f"the runs of a batch must share {name}")
+        self.record_slots = record_slots
+        self._shared = configs[0]      # read for BATCH_SHARED fields only
+
+        self.runs: List[_Run] = []
+        n = pool = n_slices = 0
+        for cfg in configs:
+            rows = slice(n, n + cfg.topology.devices)
+            rbs = slice(pool, pool + cfg.topology.access_rbs)
+            slices = slice(n_slices, n_slices + len(cfg.slices))
+            self.runs.append(_Run(cfg, rows, rbs, slices))
+            n, pool, n_slices = rows.stop, rbs.stop, slices.stop
+        self.n_devices, self.pool, self.n_slices = n, pool, n_slices
+
+        def per_slice(values):     # one entry per (run, slice)
+            return np.array([v for cfg in configs for v in values(cfg)])
+
+        slice_devices = per_slice(lambda c: [s.devices for s in c.slices])
+        run_slices = [len(cfg.slices) for cfg in configs]
+        run_devices = [cfg.topology.devices for cfg in configs]
+        self.device_slice = np.repeat(np.arange(n_slices), slice_devices)
+        self.allocation = [s.access_rbs for cfg in configs for s in cfg.slices]
+        self._slice_sizes = slice_devices.astype(float)[self.device_slice]
+        # each slice's run: its first slice and its first RB; each row's last RB
+        self._run_first_slice = np.repeat([r.slices.start for r in self.runs], run_slices)
+        self._run_first_rb = np.repeat([r.rbs.start for r in self.runs], run_slices)
+        self._last_rb = np.repeat([r.rbs.stop - 1 for r in self.runs], run_devices)
+        # the flip rates: one float when the runs share it, else a column of
+        # one per row (broadcasting a column costs time at scale)
+        self._epsilon = _per_row([cfg.obs.epsilon for cfg in configs], run_devices)
+        self._phi = _per_row([cfg.obs.phi for cfg in configs], run_devices)
+        self._unequal_noise = any(cfg.obs.epsilon != cfg.obs.phi for cfg in configs)
+        self._row_bounds = [r.rows.start for r in self.runs] + [n]
+
+        stationary = self._shared.markov.stationary_idle()
+        self.rb_states = np.concatenate([
+            np.where(r.streams[0].random(r.config.topology.access_rbs) < stationary,
+                     IDLE, BUSY) for r in self.runs])
+        self.rate_idle, self.rate_busy = planning_rates(self._shared.radio)
+
         self.period_index = 0
         self.beliefs: Optional[np.ndarray] = None
         self._belief_offsets: Optional[np.ndarray] = None
         self._belief_widths: Optional[np.ndarray] = None
         self._belief_cols: Optional[np.ndarray] = None
-        self._policies: Dict[int, object] = {}
         self._access: Optional[pomdp.SliceAccess] = None
-        self._slice_sizes = np.array([s.devices for s in config.slices],
-                                     dtype=float)[self.device_slice]
         # the busy-source power per RB, plus a silent bin that sleepers point at
         self._busy_power = np.zeros(self.pool + 1)
+        widest_pool = max(cfg.topology.access_rbs for cfg in configs)
+        slot_bytes = 8 * (2 * self.pool + 2 * n + n * widest_pool)
+        self._block_slots = int(np.clip(_DRAW_BYTES // slot_bytes, 1,
+                                        self._shared.timebase.slots_per_period))
         # reused: a fresh (devices, pool) array per slot re-faults pages at scale
-        self._obs_u = np.empty((self.n_devices, self.pool))
-
-        self.period_rows: List[PeriodRow] = []
-        self.period_mean_rewards: List[float] = []
+        self._obs_u = np.empty((self._block_slots, n, widest_pool))
+        self._draws: Tuple[np.ndarray, ...] = ()
         self._slot_blocks: List[np.ndarray] = []
         if record_slots:
-            # the slot records' per-run columns; the pool index reads -1 in
+            # the slot records' per-row columns; the pool index reads -1 in
             # the silent bin that sleepers point at
-            self._device_ids = np.arange(self.n_devices)
-            self._device_slice_ids = np.array(
-                [s.slice_id for s in config.slices])[self.device_slice]
-            self._rb_global = np.append(np.arange(self.pool), -1)
-        self._final_gap = np.zeros(self.n_slices)
+            self._rows = np.arange(n)
+            self._device_ids = self._rows - np.repeat(self._row_bounds[:-1], run_devices)
+            self._device_slice_ids = per_slice(
+                lambda c: [s.slice_id for s in c.slices])[self.device_slice]
+            self._rb_global = np.concatenate(
+                [np.arange(c.topology.access_rbs) for c in configs] + [[-1]])
 
     # -- policies and block layout ------------------------------------------
 
-    def _policy(self, width: int):
+    def _policy(self, run: _Run, width: int):
         """The planning policy of a slice `width` RBs wide, solved once per run.
 
         Under solver auto, outside the myopic case, a model whose planners
         provably always access gets `pomdp.AccessPolicy` and no solve."""
-        if width not in self._policies:
+        if width not in run.policies:
+            cfg = run.config
             model = PomdpModel(
-                markov=self.config.markov, obs=self.config.obs,
-                horizon=self.config.timebase.slots_per_period,
-                discount=self.config.discount,
+                markov=cfg.markov, obs=cfg.obs,
+                horizon=cfg.timebase.slots_per_period,
+                discount=cfg.discount,
                 rate_idle=np.full(width, self.rate_idle),
                 rate_busy=np.full(width, self.rate_busy),
-                sleep_sensing=self.config.sleep_sensing)
-            if (self.config.solver_mode == "auto"
+                sleep_sensing=cfg.sleep_sensing)
+            if (cfg.solver_mode == "auto"
                     and not model.action_independent_observations()
                     and pomdp.access_certified(model)):
-                self._policies[width] = pomdp.AccessPolicy(model)
+                run.policies[width] = pomdp.AccessPolicy(model)
             else:
-                self._policies[width] = pomdp.solve(model, mode=self.config.solver_mode,
-                                                    grid_points=self.config.grid_points)
-        return self._policies[width]
-
-    def _offsets(self) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum(self.allocation)[:-1]]).astype(int)
+                run.policies[width] = pomdp.solve(model, mode=cfg.solver_mode,
+                                                  grid_points=cfg.grid_points)
+        return run.policies[width]
 
     # -- slot dynamics ------------------------------------------------------
 
+    def _slot_draws(self, slot: int) -> Tuple[np.ndarray, ...]:
+        """The slot's fixed-rate draws of every run, stacked: RB steps, own
+        gains, background gains, sensing and policy uniforms.  Each stream is
+        drawn `_block_slots` slots at a time, the same values as one slot at
+        a time."""
+        j = slot % self._block_slots
+        if j == 0:
+            slots = min(self._block_slots, self._shared.timebase.slots_per_period - slot)
+            n, pool = self.n_devices, self.pool
+            block = (np.empty((slots, pool)), np.empty((slots, n)), np.empty((slots, pool)),
+                     self._obs_u[:slots], np.empty((slots, n)))
+            for run in self.runs:
+                width = run.config.topology.access_rbs
+                parts = (block[0][:, run.rbs], block[1][:, run.rows], block[2][:, run.rbs],
+                         block[3][:, run.rows, :width], block[4][:, run.rows])
+                state, gain, bg, obs, policy = run.streams
+                for draw, part in zip((state.random, gain.standard_normal,
+                                       bg.standard_normal, obs.random, policy.random),
+                                      parts):
+                    if part.flags.c_contiguous:
+                        draw(out=part)
+                    else:
+                        part[...] = draw(part.shape)
+            self._draws = block
+        return tuple(a[j] for a in self._draws)
+
     def run_slot(self, slot: int) -> Dict[str, np.ndarray]:
         """Advance occupancy, let every device act, return the slot outcome."""
-        cfg = self.config
-        n = self.n_devices
-
+        radio = self._shared.radio
         # fixed-rate draws, consumed whether or not they end up used
-        state_u = self._state_rng.random(self.pool)
-        own_gain = self._gain_rng.standard_normal(n) ** 2
-        bg_gain = self._bg_rng.standard_normal(self.pool) ** 2
-        obs_u = self._obs_rng.random(out=self._obs_u)
-        policy_u = self._policy_rng.random(n)
+        state_u, own_gain, bg_gain, obs_u, policy_u = self._slot_draws(slot)
 
-        self.rb_states = evolve_many(self.rb_states, cfg.markov, state_u)
+        self.rb_states = evolve_many(self.rb_states, self._shared.markov, state_u)
         idle_now = (self.rb_states == IDLE)[self._belief_cols]   # each device's blocks
-        predicted = pomdp.belief_propagate(self.beliefs, cfg.markov)
+        predicted = pomdp.belief_propagate(self.beliefs, self._shared.markov)
 
         actions = self._choose_actions(slot, policy_u, predicted, idle_now)
 
         accessing = actions > 0
         # sleepers point at the silent bin past the pool
         rb = np.where(accessing, self._belief_offsets + actions - 1, self.pool)
-        own = cfg.radio.tx_power * own_gain
+        own = radio.tx_power * own_gain ** 2
         heard = np.bincount(rb, weights=own, minlength=self.pool + 1)
         busy = self._busy_power
-        np.multiply(self.rb_states == BUSY, cfg.radio.effective_busy_power * bg_gain,
+        np.multiply(self.rb_states == BUSY, radio.effective_busy_power * bg_gain ** 2,
                     out=busy[:self.pool])
-        rates = rate(own, heard[rb] - own + busy[rb], cfg.radio)
-        if cfg.hard_collision:
+        rates = rate(own, heard[rb] - own + busy[rb], radio)
+        if self._shared.hard_collision:
             accessing = accessing & (np.bincount(rb, minlength=self.pool + 1)[rb] == 1)
         rates = np.where(accessing, rates, 0.0)
 
@@ -263,47 +363,55 @@ class Simulation:
 
     def _choose_actions(self, slot: int, policy_u: np.ndarray,
                         predicted: np.ndarray, idle_now: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        if cfg.policy_mode == "random":
+        if self._shared.policy_mode == "random":
             return (policy_u * self._belief_widths).astype(int) + 1
-        if cfg.policy_mode == "perfect":
+        if self._shared.policy_mode == "perfect":
             # clairvoyant baseline: the slice access rule fed the slot's true
             # occupancy (idle probability 1 or 0) in place of predicted beliefs;
             # every device accesses.  Its shares maximise the rule's expected
             # slice rate with the occupancy known: a ceiling in expectation,
             # not for every draw
             return self._access.draw(idle_now, policy_u)
-        # the planner decides sleep or access; the access rule picks the RB
-        widest = self._policy(self.beliefs.shape[1])
-        if widest.any_width:       # myopic or certified: the cheaper sign
-            access = widest.accesses(self.beliefs, self._belief_mask, slot)
-        else:
-            access = np.empty(self.n_devices, dtype=bool)
-            for width in set(self.allocation):
-                rows = self._belief_widths == width
-                access[rows] = self._policy(width).act_batch(
-                    self.beliefs[rows, :width], self._belief_mask[rows, :width], slot) > 0
-        return np.where(access, self._access.draw(predicted, policy_u), 0)
+        # each run's planner decides sleep or access; the access rule picks the RB
+        access = None
+        for run in self.runs:
+            widest = self._policy(run, run.width)
+            if widest.any_width and widest.all_access(slot):
+                continue
+            if access is None:
+                access = np.ones(self.n_devices, dtype=bool)
+            beliefs = self.beliefs[run.rows, :run.width]
+            valid = self._belief_mask[run.rows, :run.width]
+            if widest.any_width:       # myopic or certified: the cheaper sign
+                access[run.rows] = widest.accesses(beliefs, valid, slot)
+                continue
+            mine, widths = access[run.rows], self._belief_widths[run.rows]
+            for width in set(self.allocation[run.slices]):
+                rows = widths == width
+                mine[rows] = self._policy(run, width).act_batch(
+                    beliefs[rows, :width], valid[rows, :width], slot) > 0
+        actions = self._access.draw(predicted, policy_u)
+        return actions if access is None else np.where(access, actions, 0)
 
     def _sense_and_update(self, actions: np.ndarray, obs_u: np.ndarray,
                           predicted: np.ndarray, idle_now: np.ndarray) -> np.ndarray:
         """Per-device noisy readings of their slice's RBs, then Bayes step;
         returns where each device read idle."""
-        obs = self.config.obs
         # readings flip with probability phi, the accessed RB's with epsilon
         u = obs_u[:, :self.beliefs.shape[1]]
-        saw_idle = pomdp.reading(idle_now, u, obs.phi)
-        if obs.epsilon != obs.phi:
+        saw_idle = pomdp.reading(idle_now, u, self._phi)
+        if self._unequal_noise:
             rows = np.flatnonzero(actions > 0)
             cols = actions[rows] - 1
-            saw_idle[rows, cols] = pomdp.reading(idle_now[rows, cols], u[rows, cols],
-                                                 obs.epsilon)
-        self.beliefs = pomdp.bayes_update(predicted, actions, saw_idle, obs,
-                                          self.config.sleep_sensing) * self._belief_mask
+            epsilon = np.broadcast_to(self._epsilon, (self.n_devices, 1))[rows, 0]
+            saw_idle[rows, cols] = pomdp.reading(idle_now[rows, cols], u[rows, cols], epsilon)
+        self.beliefs = pomdp.bayes_update(
+            predicted, actions, saw_idle, self._epsilon, self._phi,
+            self._shared.sleep_sensing) * self._belief_mask
         return saw_idle
 
     def _record(self, slot, actions, rb, rates, saw_idle):
-        """Append the slot's block of SLOT_RECORDs, one per device."""
+        """Append the slot's block of SLOT_RECORDs, one per device row."""
         block = np.empty(self.n_devices, dtype=SLOT_RECORD)
         block["period"] = self.period_index
         block["slot"] = slot
@@ -313,7 +421,7 @@ class Simulation:
         # sleepers point at the silent bin past the pool, which reads -1
         block["rb_global"] = self._rb_global[rb]
         block["rb_state"] = np.append(self.rb_states, -1)[rb]
-        heard = np.where(saw_idle[self._device_ids, actions - 1], IDLE, BUSY)
+        heard = np.where(saw_idle[self._rows, actions - 1], IDLE, BUSY)
         block["observation"] = np.where(actions > 0, heard, -1)
         block["rate"] = rates
         self._slot_blocks.append(block)
@@ -325,12 +433,17 @@ class Simulation:
         device's slice block keeps its belief (tracked by pool index), RBs the
         slice just gained start at the stationary idle probability.
         """
-        cfg = self.config
-        width = max(self.allocation)
-        stationary = cfg.markov.stationary_idle()
-        r_l = np.array(self.allocation)[self.device_slice]
-        offsets = self._offsets()[self.device_slice]
+        allocation = np.array(self.allocation)
+        width = allocation.max()
+        stationary = self._shared.markov.stationary_idle()
+        # each block's first RB: past the blocks before it in its run's pool
+        starts = np.cumsum(allocation) - allocation
+        starts += self._run_first_rb - starts[self._run_first_slice]
+        offsets = starts[self.device_slice]
+        r_l = allocation[self.device_slice]
         self._belief_mask = np.arange(width)[None, :] < r_l[:, None]
+        for run in self.runs:
+            run.width = max(self.allocation[run.slices])
 
         fresh = np.where(self._belief_mask, stationary, 0.0)
         if self.beliefs is not None:
@@ -346,19 +459,20 @@ class Simulation:
         self.beliefs = fresh
         self._belief_offsets = offsets
         self._belief_widths = r_l
-        # masked columns read a real RB's state, which the mask then discards
+        # masked columns read a real RB of the run's pool, which the mask then
+        # discards
         self._belief_cols = np.minimum(offsets[:, None] + np.arange(width)[None, :],
-                                       self.pool - 1)
-        if cfg.policy_mode != "random":
+                                       self._last_rb[:, None])
+        if self._shared.policy_mode != "random":
             self._access = pomdp.SliceAccess(self._belief_mask, self._slice_sizes,
-                                             cfg.radio)
+                                             self._shared.radio, self._row_bounds)
 
     # -- period dynamics ----------------------------------------------------
 
     def run_period(self) -> List[PeriodRow]:
-        cfg = self.config
+        """One period of every run; returns their rows, run after run."""
         self.period_index += 1
-        k_slots = cfg.timebase.slots_per_period
+        k_slots = self._shared.timebase.slots_per_period
 
         self._rebuild_beliefs()
 
@@ -368,59 +482,78 @@ class Simulation:
             out = self.run_slot(k)
             slot_totals[k] = out["slice_rates"]
             device_rewards[:, k] = out["rates"]
+        return [row for run in self.runs
+                for row in self._close_period(run, slot_totals[:, run.slices],
+                                              device_rewards[run.rows])]
 
+    def _close_period(self, run: _Run, slot_totals: np.ndarray,
+                      device_rewards: np.ndarray) -> List[PeriodRow]:
+        """One run's period accounting and controller step."""
+        cfg = run.config
+        n_slices = len(cfg.slices)
         horizon_totals = pomdp.total_discounted_reward(device_rewards, cfg.discount)
-        self.period_mean_rewards.append(float(horizon_totals.mean()))
+        run.period_mean_rewards.append(float(horizon_totals.mean()))
 
         obtained = np.array([slicing.period_average_rate(slot_totals[:, s], cfg.timebase)
-                             for s in range(self.n_slices)])
-        xi, xi_star, gap = slicing.ratios(obtained, self.weights)
-        self._final_gap = gap
+                             for s in range(n_slices)])
+        xi, xi_star, gap = slicing.ratios(obtained, run.weights)
+        run.final_gap = gap
 
-        raw = np.zeros(self.n_slices)
-        applied = np.zeros(self.n_slices, dtype=int)
-        if self.filtered_rates is None:
+        allocation = self.allocation[run.slices]
+        raw = np.zeros(n_slices)
+        applied = np.zeros(n_slices, dtype=int)
+        if run.filtered_rates is None:
             # warm-up: seed the filter, leave the allocation alone
-            self.filtered_rates = obtained.copy()
-            self.prev_gap = np.zeros(self.n_slices)
+            run.filtered_rates = obtained.copy()
+            run.prev_gap = np.zeros(n_slices)
         else:
-            self.filtered_rates = ctrl.smooth(self.filtered_rates, obtained,
-                                              cfg.controller.omega)
+            run.filtered_rates = ctrl.smooth(run.filtered_rates, obtained,
+                                             cfg.controller.omega)
             if cfg.controller_enabled:
-                q_sum = float(self.filtered_rates.sum())
+                q_sum = float(run.filtered_rates.sum())
                 if q_sum > 0.0:
-                    xi_f = self.filtered_rates / q_sum
+                    xi_f = run.filtered_rates / q_sum
                     gap_f = xi_star - xi_f
-                    raw = ctrl.delta_rbs(gap_f, self.prev_gap, q_sum, cfg.controller)
-                    new_alloc = ctrl.apply_allocation(self.allocation, raw,
-                                                      cfg.topology)
-                    applied = np.array(new_alloc) - np.array(self.allocation)
-                    self.allocation = new_alloc
-                    self.prev_gap = gap_f
+                    raw = ctrl.delta_rbs(gap_f, run.prev_gap, q_sum, cfg.controller)
+                    new_alloc = ctrl.apply_allocation(allocation, raw, cfg.topology)
+                    applied = np.array(new_alloc) - np.array(allocation)
+                    allocation = self.allocation[run.slices] = new_alloc
+                    run.prev_gap = gap_f
 
         rows = [PeriodRow(
             period=self.period_index, slice_id=cfg.slices[s].slice_id,
             obtained_rate=float(obtained[s]),
-            filtered_rate=float(self.filtered_rates[s]),
+            filtered_rate=float(run.filtered_rates[s]),
             xi=float(xi[s]), xi_star=float(xi_star[s]), gap=float(gap[s]),
             delta_raw=float(raw[s]), delta_applied=int(applied[s]),
-            access_rbs=int(self.allocation[s])) for s in range(self.n_slices)]
-        self.period_rows.extend(rows)
+            access_rbs=int(allocation[s])) for s in range(n_slices)]
+        run.period_rows.extend(rows)
         return rows
 
-    def run(self) -> RunSummary:
-        for _ in range(self.config.timebase.periods):
+    def run(self) -> BatchSummary:
+        for _ in range(self._shared.timebase.periods):
             self.run_period()
-        return RunSummary(
-            seed=self.config.seed,
-            mean_discounted_reward=float(np.mean(self.period_mean_rewards)),
-            final_max_abs_gap=float(np.max(np.abs(self._final_gap))),
-            period_rows=self.period_rows,
-            slot_records=np.concatenate(self._slot_blocks) if self.record_slots else None)
+        # one (slots, devices) array of every slot's records, if recorded
+        records = np.stack(self._slot_blocks) if self.record_slots else None
+        return BatchSummary([RunSummary(
+            seed=run.config.seed,
+            mean_discounted_reward=float(np.mean(run.period_mean_rewards)),
+            final_max_abs_gap=float(np.max(np.abs(run.final_gap))),
+            period_rows=run.period_rows,
+            slot_records=None if records is None else records[:, run.rows].reshape(-1))
+            for run in self.runs])
 
 
 def run_simulation(config: ScenarioConfig, record_slots: bool = False) -> RunSummary:
-    return Simulation(config, record_slots=record_slots).run()
+    """One run: the batch of one."""
+    return Simulation([config], record_slots=record_slots).run().runs[0]
+
+
+def run_batch(configs: Sequence[ScenarioConfig],
+              record_slots: bool = False) -> List[RunSummary]:
+    """Runs that share BATCH_SHARED, through one slot loop; each equals its
+    run_simulation bit for bit."""
+    return Simulation(configs, record_slots=record_slots).run().runs
 
 
 # ---------------------------------------------------------------------------
@@ -488,15 +621,22 @@ def _set_axis(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
 
 
 def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
-              seeds: Sequence[int], map_fn: Callable = map) -> List[SweepRow]:
+              seeds: Sequence[int], map_fn: Callable = map,
+              batches: int = 1) -> List[SweepRow]:
     """Run the scenario across an axis with every seed; rows keyed (value, seed).
 
-    map_fn runs the jobs in order; an executor's map spreads them over processes.
+    The jobs, in row order, are cut into `batches` contiguous batches of
+    near-equal size, each run by run_batch; map_fn maps run_batch over the
+    batches in order, and an executor's map spreads them over processes.
     """
     jobs = [(float(value),
              dataclasses.replace(with_axis_value(config, axis, value), seed=int(seed)))
             for value in values for seed in seeds]
-    summaries = map_fn(run_simulation, [cfg for _, cfg in jobs])
+    configs = [cfg for _, cfg in jobs]
+    count = min(batches, len(configs))
+    cuts = [len(configs) * i // count for i in range(count + 1)]
+    parts = [configs[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    summaries = [summary for part in map_fn(run_batch, parts) for summary in part]
     return [SweepRow(axis=axis, axis_value=value, seed=cfg.seed, config=cfg, summary=summary)
             for (value, cfg), summary in zip(jobs, summaries)]
 

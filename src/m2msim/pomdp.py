@@ -43,7 +43,8 @@ in for them and nothing is solved.  The myopic case keeps its own rule.
 
 Every policy has `act_batch(beliefs (N, R), valid (N, R), slot) -> (N,)`;
 the planners need full-width rows.  The myopic rule and `AccessPolicy` also
-give the sign alone (`accesses`), which skips the argmax.
+give the sign alone (`accesses`), which skips the argmax, and say when it is
+access for every belief (`all_access`).
 Ties: myopic rates are one product per RB and carry no float noise, so it
 takes their exact argmax (lowest RB first; sleep only when the best rate is
 <= 0).  Exact and grid values do carry noise, so `_pick_action` counts
@@ -170,31 +171,38 @@ def _posterior(prior: np.ndarray, saw_idle: np.ndarray, trust: float) -> np.ndar
     denom += joint_idle
     # a zero-likelihood reading cannot steer the belief; keep the prior there
     steered = denom > 0.0
+    if steered.all():
+        return np.divide(joint_idle, denom, out=joint_idle)
     posterior = np.divide(joint_idle, denom, out=joint_idle, where=steered)
     np.copyto(posterior, prior, where=~steered)
     return posterior
 
 
 def bayes_update(predicted: np.ndarray, actions: np.ndarray, saw_idle: np.ndarray,
-                 obs_model: ObservationModel, sleep_sensing: bool = True) -> np.ndarray:
+                 epsilon, phi, sleep_sensing: bool = True) -> np.ndarray:
     """Bayes step of N devices' per-RB idle probabilities after one slot's readings.
 
     predicted (N, R) holds the propagated beliefs, saw_idle (N, R) where each
     reading said idle, actions (N,) 0 to sleep or r to access column r - 1.
-    Readings are weighed at the trusted phi, the accessed one at the trusted
-    epsilon; without sleep_sensing only the accessed RB is heard and the
-    others keep their prediction.  A zero-likelihood reading keeps the prior.
+    epsilon and phi are the sensor's flip rates (`ObservationModel`), floats
+    or (N, 1) columns of one per row.  Readings are weighed at
+    min(phi, 0.5), the accessed one at min(epsilon, 0.5); without
+    sleep_sensing only the accessed RB is heard and the others keep their
+    prediction.  A zero-likelihood reading keeps the prior.
     """
+    trust_eps, trust_phi = np.minimum(epsilon, 0.5), np.minimum(phi, 0.5)
     if sleep_sensing:
-        posterior = _posterior(predicted, saw_idle, obs_model.trusted_phi)
+        posterior = _posterior(predicted, saw_idle, trust_phi)
     else:
         posterior = predicted.copy()    # only the accessed RB is heard
     # the accessed entries are redone only where that changes them
-    if obs_model.trusted_epsilon != obs_model.trusted_phi or not sleep_sensing:
-        rows = np.flatnonzero(actions > 0)
+    redo = np.not_equal(trust_eps, trust_phi) | (not sleep_sensing)
+    if np.any(redo):
+        rows = np.flatnonzero((actions > 0) & np.ravel(redo))
         cols = actions[rows] - 1
+        trust = np.broadcast_to(trust_eps, (len(predicted), 1))[rows, 0]
         posterior[rows, cols] = _posterior(predicted[rows, cols], saw_idle[rows, cols],
-                                           obs_model.trusted_epsilon)
+                                           trust)
     return posterior
 
 
@@ -217,7 +225,8 @@ def belief_update(belief: np.ndarray, action: int, observation: np.ndarray,
     # zero likelihood takes a sensor that cannot err reading a state ruled out
     if np.any(sensed & (flip == 0.0) & (m == np.where(saw_idle, 0.0, 1.0))):
         raise BeliefUpdateError("observation impossible under the model")
-    out = bayes_update(m[None, :], np.array([action]), saw_idle[None, :], obs_model)[0]
+    out = bayes_update(m[None, :], np.array([action]), saw_idle[None, :],
+                       obs_model.epsilon, obs_model.phi)[0]
     return np.where(sensed, out, m)
 
 
@@ -339,9 +348,13 @@ class MyopicPolicy:
         q = exp_rate[np.arange(len(beliefs)), best]
         return np.where(q > 0.0, best + 1, 0)
 
+    def all_access(self, slot: int) -> bool:
+        """Whether every belief accesses at this slot, known without beliefs."""
+        return self._rates_positive and self.model.slot_weight(slot) != 0.0
+
     def accesses(self, beliefs: np.ndarray, valid: np.ndarray, slot: int) -> np.ndarray:
         """act_batch(...) > 0 (N,), without the argmax when no device can sleep."""
-        if self._rates_positive and self.model.slot_weight(slot) != 0.0:
+        if self.all_access(slot):
             return np.ones(len(beliefs), dtype=bool)
         return self.act_batch(beliefs, valid, slot) > 0
 
@@ -502,6 +515,9 @@ class AccessPolicy:
         exp_rate[~valid] = -np.inf
         return np.argmax(exp_rate, axis=1) + 1
 
+    def all_access(self, slot: int) -> bool:
+        return True
+
     def accesses(self, beliefs: np.ndarray, valid: np.ndarray, slot: int) -> np.ndarray:
         return np.ones(len(beliefs), dtype=bool)
 
@@ -547,6 +563,45 @@ def _fading_quadrature(radio: RadioParams):
     idle = np.exp(-s * radio.noise_power / p) * (1.0 - (1.0 + 2.0 * s) ** -0.5) * _NODE_STEP
     busy = idle * (1.0 + 2.0 * s * radio.effective_busy_power / p) ** -0.5
     return s, np.stack([idle, busy])
+
+
+def _rate_terms(nodes: np.ndarray, weights: np.ndarray, k: np.ndarray, order: int = 1):
+    """Marginal rate G = d/dq [q rate(m q)] and c = -dG/dk at k co-accessors
+    (order 1), or the bend G'' = d^2 G / dk^2 (order 2), stacked (idle,
+    busy), in nats per unit bandwidth, from `_fading_quadrature`'s nodes and
+    weights.
+
+    Each rate is a sum over quadrature nodes s of w(s) e^(-s k), so
+    G = sum w (1 - s k) e^(-s k), c = sum w s (2 - s k) e^(-s k) and
+    G'' = sum w s^2 (3 - s k) e^(-s k).
+    """
+    s = nodes[:, None]
+    flat = np.asarray(k, dtype=float).reshape(-1)
+    chunk = max(1, _TERMS_BLOCK // len(nodes))
+    parts = []
+    for lo in range(0, flat.size, chunk):
+        sk = s * flat[lo:lo + chunk]
+        e = np.exp(-sk)
+        if order == 2:
+            parts.append([weights @ (e * s * s * (3.0 - sk))])
+        else:
+            parts.append([weights @ (e * (1.0 - sk)),
+                          weights @ (e * s * (2.0 - sk))])
+    out = [np.concatenate(col, axis=1).reshape((2,) + np.shape(k))
+           for col in zip(*parts)]
+    return out[0] if order == 2 else tuple(out)
+
+
+@functools.lru_cache(maxsize=1024)
+def _start_terms(radio: RadioParams, kappa: bytes):
+    """G and c (idle, busy) at the start, and the largest bend over shares
+    >= 0.9, at each of a layout's distinct kappas (float64 bytes).  A run's
+    layouts repeat from period to period and across the runs of a batch."""
+    nodes, weights = _fading_quadrature(radio)
+    k = np.frombuffer(kappa)
+    gain, curv = _rate_terms(nodes, weights, k)
+    bend = _rate_terms(nodes, weights, (1.0 - 2.0 * _SETTLE_STEP) * k, order=2).max(axis=0)
+    return gain, curv, bend
 
 
 class SliceAccess:
@@ -607,9 +662,18 @@ class SliceAccess:
     valid (N, R) marks each device's RBs (a prefix of its row); devices (N,)
     is the size n of each device's slice.  Rows are stored transposed,
     (R, N), so sums over a device's RBs run along the fast axis.
+
+    The rows may stack the layouts of several runs, run after run, with
+    `bounds` the first row of each run and the row count, and R the widest
+    block of any of them.  A share is computed from its own column and sums
+    down it, so a column is the same in any stack, bit for bit, but a matrix
+    product's sums depend on its operand's shape.  So each run's tables and
+    solves run on its own rows at its own width, as in a layout of its own,
+    and its CDF edges stop at its own width.
     """
 
-    def __init__(self, valid: np.ndarray, devices: np.ndarray, radio: RadioParams):
+    def __init__(self, valid: np.ndarray, devices: np.ndarray, radio: RadioParams,
+                 bounds: Optional[np.ndarray] = None):
         self._valid = np.ascontiguousarray(np.asarray(valid, dtype=bool).T)
         self._inner = self._valid[1:]          # edges between a row's RBs
         self._width = self._valid.sum(axis=0).astype(float)
@@ -618,46 +682,36 @@ class SliceAccess:
         self._crowd = np.asarray(devices, dtype=float) - 1.0
         self._per_share = self._crowd / self._width  # kappa: co-accessors per unit share
         self._nodes, self._weights = _fading_quadrature(radio)
-        # every row of a slice starts at the same k: evaluate each distinct one once
-        kappa, layout = np.unique(self._per_share, return_inverse=True)
-        gain, curv = (t[..., layout][:, None, :] for t in self._terms(kappa))
-        self._gain_gap0 = gain[0, 0] - gain[1, 0]
+        bounds = [0, self._valid.shape[1]] if bounds is None else list(bounds)
+        self._runs = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self._run_widths = [int(self._width[rows].max()) for rows in self._runs]
+        gain, curv, bend = (np.concatenate(t, axis=-1) for t in zip(
+            *[self._layout_tables(radio, self._per_share[rows]) for rows in self._runs]))
+        self._gain_gap0 = gain[0] - gain[1]
         # a lone device's objective is linear in q (and every rate is 0 at zero
         # power); the floor keeps the Newton step finite, so the step puts all
         # of q on the best RBs
-        self._curv_busy0 = self._crowd * curv[1, 0] + _CURVATURE_FLOOR
-        self._curv_gap0 = self._crowd * (curv[0, 0] - curv[1, 0])
+        self._curv_busy0 = self._crowd * curv[1] + _CURVATURE_FLOOR
+        self._curv_gap0 = self._crowd * (curv[0] - curv[1])
         # K of the class docstring: the marginal rate's largest bend over
         # shares >= 0.9, against its smallest slope at the start
-        bend = self._terms((1.0 - 2.0 * _SETTLE_STEP) * kappa, order=2).max(axis=0)[layout]
-        self._quad = 0.5 * self._per_share * bend / np.maximum(curv.min(axis=0)[0], 1e-300)
+        self._quad = 0.5 * self._per_share * bend / np.maximum(curv.min(axis=0), 1e-300)
         self._settle_step = np.minimum(_SETTLE_STEP, 0.25 / np.maximum(self._quad, 1e-300))
         self._edge_quad = np.floor(self._width / 2.0) * self._quad
+        # edges past a run's own width, which a run of its own would not have
+        run_width = np.repeat(self._run_widths, np.diff(bounds))
+        pad = np.arange(len(self._inner))[:, None] >= run_width - 1
+        self._edge_pad = pad if pad.any() else None
+
+    def _layout_tables(self, radio, per_share):
+        """`_start_terms` per row of one run: every row of a slice starts at
+        the same k, so each distinct one is evaluated once."""
+        kappa, layout = np.unique(per_share, return_inverse=True)
+        gain, curv, bend = _start_terms(radio, kappa.tobytes())
+        return gain[:, layout], curv[:, layout], bend[layout]
 
     def _terms(self, k: np.ndarray, order: int = 1):
-        """Marginal rate G = d/dq [q rate(m q)] and c = -dG/dk at k
-        co-accessors (order 1), or the bend G'' = d^2 G / dk^2 (order 2),
-        stacked (idle, busy), in nats per unit bandwidth.
-
-        Each rate is a sum over quadrature nodes s of w(s) e^(-s k), so
-        G = sum w (1 - s k) e^(-s k), c = sum w s (2 - s k) e^(-s k) and
-        G'' = sum w s^2 (3 - s k) e^(-s k).
-        """
-        s = self._nodes[:, None]
-        flat = np.asarray(k, dtype=float).reshape(-1)
-        chunk = max(1, _TERMS_BLOCK // len(self._nodes))
-        parts = []
-        for lo in range(0, flat.size, chunk):
-            sk = s * flat[lo:lo + chunk]
-            e = np.exp(-sk)
-            if order == 2:
-                parts.append([self._weights @ (e * s * s * (3.0 - sk))])
-            else:
-                parts.append([self._weights @ (e * (1.0 - sk)),
-                              self._weights @ (e * s * (2.0 - sk))])
-        out = [np.concatenate(col, axis=1).reshape((2,) + np.shape(k))
-               for col in zip(*parts)]
-        return out[0] if order == 2 else tuple(out)
+        return _rate_terms(self._nodes, self._weights, k, order)
 
     def _newton_step(self, y, slope, curv, rows):
         """One Newton step of the scaled shares y (R, n) of `rows` on the simplex.
@@ -667,7 +721,8 @@ class SliceAccess:
         would turn negative are dropped and the step is solved again without
         them.  Returns the new shares and each row's largest share change.
         """
-        reach = np.divide(self._span[:, rows], curv, out=curv)   # 0 off the row
+        width = len(y)
+        reach = np.divide(self._span[:width, rows], curv, out=curv)   # 0 off the row
         free = None
         while True:
             if free is None:                 # rows already sum to their width
@@ -685,7 +740,7 @@ class SliceAccess:
                 if free is not None:
                     step = new - y
                 return new, np.maximum.reduce(np.abs(step, out=step), 0)
-            free = (self._valid[:, rows] if free is None else free) & (new >= 0.0)
+            free = (self._valid[:width, rows] if free is None else free) & (new >= 0.0)
 
     def _first_step(self, p):
         """The Newton step from the uniform start, from the layout's tables."""
@@ -706,17 +761,31 @@ class SliceAccess:
             y, moved = self._newton_step(y, g - g[0], curv, rows)
         return y
 
+    def _solve(self, p, y, moved, rows):
+        """Converge the rows `rows` (sorted columns), each run's at its own
+        width; yields each run's rows and their shares."""
+        if not rows.size:
+            return
+        cuts = np.searchsorted(rows, [run.start for run in self._runs] + [len(self._width)])
+        for lo, hi, width in zip(cuts[:-1], cuts[1:], self._run_widths):
+            mine = rows[lo:hi]
+            if mine.size:
+                yield mine, self._converge(p[:width, mine], y[:width, mine], moved[mine],
+                                           mine)
+
     def _pick(self, y, t, rows):
         """RB (1-based) at quantile t of each row's shares, and the CDF edges."""
         edges = y[:-1].copy()
         for r in range(1, len(edges)):    # row by row: numpy's cumsum over axis 0 is slow
             edges[r] += edges[r - 1]
-        return np.add.reduce((t >= edges) & self._inner[:, rows], 0) + 1, edges
+        return np.add.reduce((t >= edges) & self._inner[:len(edges), rows], 0) + 1, edges
 
     def shares(self, idle: np.ndarray) -> np.ndarray:
         """q (N, R) for idle probabilities (N, R); rows sum to 1, zero off-row."""
         p = np.ascontiguousarray(np.asarray(idle, dtype=float).T)
-        y = self._converge(p, *self._first_step(p), slice(None))
+        y, moved = self._first_step(p)
+        for rows, solved in self._solve(p, y, moved, np.arange(p.shape[1])):
+            y[:len(solved), rows] = solved
         return (y / self._width).T
 
     def draw(self, idle: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -733,12 +802,14 @@ class SliceAccess:
         reach = moved / np.maximum(1.0 - 2.0 * self._quad * moved, 0.5)
         # edges past a row's width sit at the width: at worst a needless solve
         edges -= t
-        gap = np.minimum.reduce(np.abs(edges, out=edges), 0, initial=np.inf)
+        np.abs(edges, out=edges)
+        if self._edge_pad is not None:
+            edges[self._edge_pad] = np.inf
+        gap = np.minimum.reduce(edges, 0, initial=np.inf)
         rows = np.flatnonzero((moved > self._settle_step)
                               | (gap <= self._edge_quad * reach * reach))
-        if rows.size:
-            y = self._converge(p[:, rows], y[:, rows], moved[rows], rows)
-            rb[rows] = self._pick(y, t[rows], rows)[0]
+        for mine, solved in self._solve(p, y, moved, rows):
+            rb[mine] = self._pick(solved, t[mine], mine)[0]
         return rb
 
 
@@ -970,14 +1041,25 @@ def _grid_action_values(model: PomdpModel, beliefs: np.ndarray, slot: int,
     return q
 
 
+# float entries per mesh row that a backup over a chunk of the mesh holds at
+# its peak, over R RBs: the row itself and its index temporaries, m, the
+# predicted rates, q, the future value, and in one branch d, its guard, the
+# posterior and its grid index (measured with tracemalloc: about 10 R + 4.5
+# for R = 1 to 5)
+def _grid_row_entries(n_rbs: int) -> int:
+    return 10 * n_rbs + 8
+
+
 def solve_grid(model: PomdpModel, grid_points: int = 101,
                max_entries: int = 4_000_000) -> GridPolicy:
     """Value tables on the product belief grid, nearest-point lookups.
 
     Refused up front when the float entries it keeps exceed `max_entries`
     (by default 32 MB of float64): horizon + 1 value tables, the (G**R, R)
-    mesh and the (G**R, R + 1) action values.  The backup's per-branch
-    temporaries come on top of that count."""
+    mesh and the (G**R, R + 1) action values.  The backup runs over the mesh
+    a chunk of rows at a time, each chunk's temporaries within the mesh's
+    and the action values' share of that count, so the count bounds the
+    peak; every step is row by row, so the tables are those of one pass."""
     n = model.n_rbs
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
@@ -987,13 +1069,18 @@ def solve_grid(model: PomdpModel, grid_points: int = 101,
             f"grid of {grid_points}**{n} points over {model.horizon} slots holds "
             f"{entries} entries, past the cap of {max_entries}; "
             "reduce grid_points, the RB count or the horizon")
-    axes = [np.linspace(0.0, 1.0, grid_points)] * n
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    axis = np.linspace(0.0, 1.0, grid_points)
     shape = (grid_points,) * n
+    points = grid_points ** n
+    chunk = max(1, points * (n + n + 1) // _grid_row_entries(n))
     tables = [np.zeros(shape) for _ in range(model.horizon + 1)]
     for k in range(model.horizon - 1, -1, -1):
-        q = _grid_action_values(model, mesh, k, tables[k + 1], grid_points)
-        tables[k] = np.max(q, axis=1).reshape(shape)
+        values = tables[k].reshape(-1)
+        for lo in range(0, points, chunk):
+            rows = np.arange(lo, min(lo + chunk, points))
+            mesh = axis[np.column_stack(np.unravel_index(rows, shape))]
+            values[rows] = np.max(_grid_action_values(model, mesh, k, tables[k + 1],
+                                                      grid_points), axis=1)
     return GridPolicy(model, grid_points, tables)
 
 
@@ -1066,24 +1153,3 @@ def exhaustive_value(model: PomdpModel, beliefs: np.ndarray) -> np.ndarray:
         value = np.max(q, axis=1)
     return value
 
-
-def exhaustive_policy_value(model: PomdpModel, belief: np.ndarray, policy) -> float:
-    """Exact expected total of a given policy, by the same tree expansion."""
-
-    def recurse(b: np.ndarray, k: int) -> float:
-        if k == model.horizon:
-            return 0.0
-        a = policy.act(b, k)
-        m = belief_propagate(b, model.markov)
-        if a == SLEEP:
-            total = 0.0
-        else:
-            pred = m[a - 1] * model.rate_idle[a - 1] + (1 - m[a - 1]) * model.rate_busy[a - 1]
-            total = model.slot_weight(k) * pred
-        for li, lb in _obs_branches(model, a):
-            prob, post = _branch_step(m, li, lb)
-            if prob > 0.0:
-                total += prob * recurse(post, k + 1)
-        return total
-
-    return recurse(np.asarray(belief, dtype=float), 0)

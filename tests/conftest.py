@@ -10,6 +10,14 @@ from m2msim.slicing import VirtualNetwork
 
 PINNED_MARKOV = RbMarkov(0.9, 0.1, 0.95, 0.05)
 
+# the benchmark's exact-solver scenario, as two-slice overrides: epsilon !=
+# phi takes it off the greedy fast path, and it is not certified, so each run
+# solves its planner exactly
+EXACT_SOLVER = ("observation.force_equal_noise=false", "observation.phi=0.2",
+                "controller_enabled=false", "timebase.periods=1",
+                "timebase.slots_per_period=8", "slices.0.access_rbs=2",
+                "slices.1.access_rbs=2")
+
 
 def small_radio(noise: float = 0.02, busy=None) -> RadioParams:
     return RadioParams(bandwidth_per_rb=1.8e5, tx_power=0.1,

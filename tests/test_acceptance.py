@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from m2msim import cli, load_config
-from m2msim.engine import run_simulation, with_axis_value
+from m2msim.engine import run_batch, run_sweep
 
 SEEDS = tuple(range(1, 11))
 
@@ -32,9 +32,11 @@ def _gate(name: str, check: str, time_bound: float = np.inf) -> None:
     assert ok, detail
 
 
-def _seed_mean_rewards(cfg) -> np.ndarray:
-    return np.array([run_simulation(dataclasses.replace(cfg, seed=s)).mean_discounted_reward
-                     for s in SEEDS])
+def _seed_mean_rewards(cfg, axis: str, values) -> np.ndarray:
+    """Mean rewards (values, seeds) of a sweep over SEEDS, as one batch."""
+    rows = run_sweep(cfg, axis, values, SEEDS)
+    return np.array([r.summary.mean_discounted_reward for r in rows]).reshape(
+        len(values), len(SEEDS))
 
 
 def test_exact_solver_matches_exhaustive_enumeration():
@@ -76,9 +78,7 @@ def test_reward_improves_with_rb_budget_and_policy_ordering():
         "pomdp": dataclasses.replace(base, policy_mode="pomdp", controller_enabled=False),
         "random": dataclasses.replace(base, policy_mode="random", controller_enabled=False),
     }
-    rewards = {name: np.array([_seed_mean_rewards(with_axis_value(cfg, "rbs", b))
-                               for b in budgets])
-               for name, cfg in arms.items()}
+    rewards = {name: _seed_mean_rewards(cfg, "rbs", budgets) for name, cfg in arms.items()}
     elapsed = time.perf_counter() - t0
 
     ctrl_means = rewards["ctrl"].mean(axis=1)
@@ -121,10 +121,9 @@ def test_reward_degrades_gracefully_with_sensing_noise():
     t0 = time.perf_counter()
     base = load_config("five-slice")
     grid = [round(0.1 * i, 1) for i in range(1, 9)]
-    curve = np.array([_seed_mean_rewards(with_axis_value(base, "epsilon", e)).mean()
-                      for e in grid])
-    perfect = _seed_mean_rewards(
-        dataclasses.replace(base, policy_mode="perfect")).mean()
+    curve = _seed_mean_rewards(base, "epsilon", grid).mean(axis=1)
+    perfect = np.mean([run.mean_discounted_reward for run in run_batch(
+        [dataclasses.replace(base, policy_mode="perfect", seed=s) for s in SEEDS])])
     elapsed = time.perf_counter() - t0
 
     non_increasing = bool(np.all(np.diff(curve) <= 1e-12 * np.abs(curve[:-1])))
@@ -155,8 +154,7 @@ def test_two_slice_allocation_converges_to_weight_ratio():
     t0 = time.perf_counter()
     cfg = load_config("two-slice")
     improved, first_all, last_all, final_ratios = 0, [], [], []
-    for seed in SEEDS:
-        summary = run_simulation(dataclasses.replace(cfg, seed=seed))
+    for summary in run_batch([dataclasses.replace(cfg, seed=seed) for seed in SEEDS]):
         by_period = {}
         for row in summary.period_rows:
             by_period.setdefault(row.period, []).append(row)

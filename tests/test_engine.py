@@ -4,14 +4,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import PINNED_MARKOV, paired, small_radio, tiny_config
-from m2msim import pomdp
+from conftest import EXACT_SOLVER, PINNED_MARKOV, paired, small_radio, tiny_config
+from m2msim import engine, pomdp
 from m2msim.channel import BUSY, IDLE, CellTopology, Timebase
 from m2msim.config import ConfigError, load_config
 from m2msim.controller import ControllerParams
-from m2msim.engine import (SLOT_RECORD, ScenarioConfig, Simulation,
-                           aggregate_sweep, planning_rates, run_simulation,
-                           run_sweep, with_axis_value)
+from m2msim.engine import (SLOT_RECORD, SWEEP_AXES, ScenarioConfig, Simulation,
+                           aggregate_sweep, planning_rates, run_batch,
+                           run_simulation, run_sweep, with_axis_value)
 from m2msim.pomdp import ObservationModel
 from m2msim.slicing import VirtualNetwork
 
@@ -122,7 +122,7 @@ def test_slot_records_are_one_array_on_request():
 
 def test_policy_arms_share_channel_randomness():
     cfg = tiny_config(seed=3)
-    sims = [Simulation(paired(cfg, policy_mode=mode))
+    sims = [Simulation([paired(cfg, policy_mode=mode)])
             for mode in ("pomdp", "random", "perfect")]
     for _ in range(2):
         for sim in sims:
@@ -260,7 +260,7 @@ def test_belief_carry_over_follows_pool_indices():
                 VirtualNetwork(slice_id=2, devices=1, access_rbs=2,
                                data_rbs=0, weight=1.0)),
         seed=1)
-    sim = Simulation(cfg)
+    sim = Simulation([cfg])
     sim._rebuild_beliefs()
     sim.beliefs = np.array([[0.11, 0.22], [0.33, 0.44]])
     # slice 1 grows to 3 RBs: slice 2's block shifts from pool RBs (2,3) to (3,)
@@ -296,6 +296,109 @@ def test_clairvoyant_arm_upper_bounds_informed_arm():
         diffs.append(ceiling.mean_discounted_reward
                      - informed.mean_discounted_reward)
     assert np.mean(diffs) >= 0.0
+
+
+# -- a batch against its runs one at a time ------------------------------------
+
+# each sweep axis and three values of it, two of them apart from five-slice's
+BATCH_VALUES = {"rbs": (1, 3, 5), "epsilon": (0.1, 0.4, 0.7), "beta": (0.0, 0.5, 0.9),
+                "omega": (0.5, 0.8, 0.95), "mu": (1e5, 3.3e5, 1e6),
+                "devices": (8, 50, 90)}
+
+
+def _batch_of(base, axis, seeds=(1, 2)):
+    return [paired(with_axis_value(base, axis, value), seed=seed)
+            for value in BATCH_VALUES[axis] for seed in seeds]
+
+
+def _assert_rows_are_single_runs(configs, monkeypatch):
+    """Each run of the batch equals the run on its own, exactly, in its
+    period rows, mean reward, final gap and slot records; every matrix
+    product of the batch sees one run's rows."""
+    sizes = {cfg.topology.devices for cfg in configs}
+    totals = pomdp.total_discounted_reward
+
+    def one_run_at_a_time(rewards, discount):
+        assert len(rewards) in sizes
+        return totals(rewards, discount)
+
+    monkeypatch.setattr(pomdp, "total_discounted_reward", one_run_at_a_time)
+    batch = run_batch(configs, record_slots=True)
+    assert len(batch) == len(configs)
+    for cfg, got in zip(configs, batch):
+        want = run_simulation(cfg, record_slots=True)
+        assert got.seed == want.seed == cfg.seed
+        assert got.period_rows == want.period_rows
+        assert got.mean_discounted_reward == want.mean_discounted_reward
+        assert got.final_max_abs_gap == want.final_max_abs_gap
+        assert np.array_equal(got.slot_records, want.slot_records)
+
+
+def test_batch_values_cover_every_sweep_axis():
+    assert set(BATCH_VALUES) == set(SWEEP_AXES)
+
+
+@pytest.mark.parametrize("axis", sorted(BATCH_VALUES))
+def test_batch_rows_equal_single_runs_along_each_axis(axis, monkeypatch):
+    """Controller on, so allocations diverge within the batch; the devices
+    axis mixes device counts."""
+    base = load_config("five-slice", ["timebase.periods=4"])
+    _assert_rows_are_single_runs(_batch_of(base, axis), monkeypatch)
+
+
+@pytest.mark.parametrize("mode", ["random", "perfect"])
+def test_batch_rows_equal_single_runs_for_each_arm(mode, monkeypatch):
+    """The baseline arms over mixed device counts; the clairvoyant arm's
+    access rule sees beliefs of 0 and 1, and so solves rows to convergence,
+    each run's at its own width."""
+    base = load_config("five-slice", ["timebase.periods=4", f"policy.mode={mode}"])
+    solved = []
+    converge = pomdp.SliceAccess._converge
+
+    def recording(rule, p, y, moved, rows):
+        solved.append((rule._runs, np.asarray(rows)))
+        return converge(rule, p, y, moved, rows)
+
+    monkeypatch.setattr(pomdp.SliceAccess, "_converge", recording)
+    _assert_rows_are_single_runs(_batch_of(base, "devices"), monkeypatch)
+    if mode == "perfect":
+        batched = [(runs, rows) for runs, rows in solved if len(runs) > 1]
+        assert batched
+        for runs, rows in batched:
+            assert any(run.start <= rows.min() and rows.max() < run.stop for run in runs)
+
+
+def test_batch_rows_equal_single_runs_with_a_solved_planner(monkeypatch):
+    """The exact-solver scenario at discount 0.5, where access is not
+    certified: each run solves its exact planner and acts through it, on its
+    own rows.  (At its own discount of 0.9 access is certified.)"""
+    base = load_config("two-slice", EXACT_SOLVER + ("policy.discount=0.5",))
+    configs = [paired(base, seed=seed) for seed in (1, 2)]
+    solved = _count_solves(monkeypatch)
+    _assert_rows_are_single_runs(configs, monkeypatch)
+    assert solved == {2: 2 * len(configs)}     # once in the batch, once alone
+
+
+def test_draws_by_the_period_equal_draws_by_the_slot(monkeypatch):
+    """The random streams give the same values drawn one slot at a time."""
+    configs = _batch_of(load_config("five-slice", ["timebase.periods=2"]), "epsilon")
+    whole = run_batch(configs, record_slots=True)
+    monkeypatch.setattr(engine, "_DRAW_BYTES", 1)
+    assert Simulation(configs)._block_slots == 1
+    for got, want in zip(run_batch(configs, record_slots=True), whole):
+        assert got.period_rows == want.period_rows
+        assert np.array_equal(got.slot_records, want.slot_records)
+
+
+def test_a_batch_shares_its_slot_loop():
+    cfg = tiny_config(seed=3)
+    with pytest.raises(ValueError, match="policy_mode"):
+        Simulation([cfg, paired(cfg, policy_mode="random")])
+    with pytest.raises(ValueError, match="timebase"):
+        Simulation([cfg, paired(cfg, timebase=Timebase(slot_duration=1e-3,
+                                                       slots_per_period=4, periods=2))])
+    with pytest.raises(ValueError, match="at least one"):
+        Simulation([])
 
 
 # (ScenarioConfig fields built in code, the document key the refusal names)
@@ -409,6 +512,8 @@ class TestSweeps:
             calls.append(len(jobs))
             return map(fn, jobs)
 
-        rows = run_sweep(self.base, "rbs", [1, 2], seeds=[4], map_fn=recording_map)
+        # the map sees the batches, here one run each; rows are those of one batch
+        rows = run_sweep(self.base, "rbs", [1, 2], seeds=[4], map_fn=recording_map,
+                         batches=2)
         assert calls == [2]
         assert rows == run_sweep(self.base, "rbs", [1, 2], seeds=[4])

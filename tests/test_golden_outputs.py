@@ -17,13 +17,9 @@ import hashlib
 
 import pytest
 
+from conftest import EXACT_SOLVER
 from m2msim import cli
 
-# the benchmark's exact-solver scenario: epsilon != phi, off the greedy fast path
-EXACT_SOLVER = ("observation.force_equal_noise=false", "observation.phi=0.2",
-                "controller_enabled=false", "timebase.periods=1",
-                "timebase.slots_per_period=8", "slices.0.access_rbs=2",
-                "slices.1.access_rbs=2")
 # the power in watts with a busy-source power, the random arm, hard collisions
 WATTS_RANDOM = ("radio.tx_power_dbm=null", "radio.tx_power=0.1",
                 "radio.busy_power=0.25", "policy.mode=random", "hard_collision=true")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,7 +11,7 @@ from m2msim.channel import RbMarkov
 from m2msim.pomdp import (SLEEP, BeliefUpdateError, MyopicPolicy,
                           ObservationModel, PomdpModel, SliceAccess,
                           SolverCapError, access_certified, belief_propagate,
-                          belief_update, exhaustive_policy_value, exhaustive_value,
+                          belief_update, exhaustive_value,
                           observe, solve, solve_exact, solve_grid,
                           total_discounted_reward)
 
@@ -23,6 +25,29 @@ def small_model(n_rbs=2, horizon=3, eps=0.2, phi=None, discount=0.9,
         rate_idle=np.linspace(1.0, 1.5, n_rbs),
         rate_busy=np.linspace(0.3, 0.2, n_rbs),
         sleep_sensing=sleep_sensing)
+
+
+def exhaustive_policy_value(model: PomdpModel, belief: np.ndarray, policy) -> float:
+    """Exact expected total of a given policy, by `exhaustive_value`'s tree
+    expansion with the policy's action in place of the max."""
+
+    def recurse(b: np.ndarray, k: int) -> float:
+        if k == model.horizon:
+            return 0.0
+        a = policy.act(b, k)
+        m = belief_propagate(b, model.markov)
+        if a == SLEEP:
+            total = 0.0
+        else:
+            pred = m[a - 1] * model.rate_idle[a - 1] + (1 - m[a - 1]) * model.rate_busy[a - 1]
+            total = model.slot_weight(k) * pred
+        for li, lb in pomdp._obs_branches(model, a):
+            prob, post = pomdp._branch_step(m, li, lb)
+            if prob > 0.0:
+                total += prob * recurse(post, k + 1)
+        return total
+
+    return recurse(np.asarray(belief, dtype=float), 0)
 
 
 class TestBeliefs:
@@ -116,7 +141,7 @@ def test_bayes_update_rows_match_belief_update(eps, phi, sleep_sensing):
         actions = rng.integers(0, width + 1, size=n)
         saw_idle = rng.random((n, width)) < 0.5
         batched = pomdp.bayes_update(belief_propagate(beliefs, markov), actions,
-                                     saw_idle, obs_model, sleep_sensing)
+                                     saw_idle, eps, phi, sleep_sensing)
         readings = np.where(saw_idle, 0, 1)
         if not sleep_sensing:
             readings[np.arange(width) != actions[:, None] - 1] = -1
@@ -159,7 +184,7 @@ def test_beliefs_stay_in_bounds(data):
             assert np.all(np.isfinite(post))
             assert np.all((post >= 0.0) & (post <= 1.0))
         beliefs = pomdp.bayes_update(belief_propagate(beliefs, markov), actions, saw_idle,
-                                     obs_model, sleep_sensing)
+                                     obs_model.epsilon, obs_model.phi, sleep_sensing)
         assert np.all(np.isfinite(beliefs))
         assert np.all((beliefs >= 0.0) & (beliefs <= 1.0))
 
@@ -403,6 +428,55 @@ class TestSliceAccess:
             checked += settled.sum()
         assert checked > 800
 
+    def test_stacked_runs_draw_as_their_own_layouts(self, monkeypatch):
+        """Runs stacked in one rule, each padded to the widest run, draw and
+        share what each run's own rule gives, bit for bit, and solve to
+        convergence the same rows (beliefs of 0 and 1, slices of thousands,
+        quantiles at a row's last edge), each run's on its own."""
+        runs = [([1, 3, 5, 2], [1, 4, 30, 2]), ([2, 3, 2], [4000, 7, 7]), ([4, 1], [5, 900])]
+        own_widths = [max(widths) for widths, _ in runs]
+        own = [_layout(widths, devices)[1] for widths, devices in runs]
+        bounds = np.cumsum([0] + [len(widths) for widths, _ in runs])
+        valid = np.concatenate([np.arange(max(own_widths))[None, :]
+                                < np.asarray(widths)[:, None] for widths, _ in runs])
+        stacked = SliceAccess(valid, np.concatenate([d for _, d in runs]).astype(float),
+                              small_radio(), bounds)
+        solved = {id(rule): [] for rule in [stacked] + own}
+        converge = SliceAccess._converge
+
+        def recording(rule, p, y, moved, rows):
+            solved[id(rule)].append(np.asarray(rows))
+            return converge(rule, p, y, moved, rows)
+
+        def solved_by_run():
+            """(run, rows within it) of each solve since the last call."""
+            out = [(int(np.searchsorted(bounds, rows.max(), "right")) - 1, rows)
+                   for rows in solved[id(stacked)]]
+            assert all(lo <= rows.min() for (i, rows), lo in zip(out, bounds[[i for i, _ in out]]))
+            out = [(i, (rows - bounds[i]).tolist()) for i, rows in out]
+            want = [(i, rows.tolist()) for i, rule in enumerate(own) for rows in solved[id(rule)]]
+            for calls in solved.values():
+                calls.clear()
+            return out, want
+
+        monkeypatch.setattr(SliceAccess, "_converge", recording)
+        rng = np.random.default_rng(27)
+        for idle in ((rng.random(valid.shape) < 0.8) * 1.0, rng.random(valid.shape),
+                     0.9 + 0.05 * rng.random(valid.shape)):
+            u = rng.random(len(valid))
+            u[1::2] = 1.0 - 1e-12          # at each row's last edge
+            drawn = stacked.draw(idle, u)
+            for rule, width, lo, hi in zip(own, own_widths, bounds[:-1], bounds[1:]):
+                assert np.array_equal(drawn[lo:hi], rule.draw(idle[lo:hi, :width], u[lo:hi]))
+            got, want = solved_by_run()
+            assert got == want
+            shares = stacked.shares(idle)
+            for rule, width, lo, hi in zip(own, own_widths, bounds[:-1], bounds[1:]):
+                assert np.array_equal(shares[lo:hi, :width],
+                                      rule.shares(idle[lo:hi, :width]))
+            got, want = solved_by_run()
+            assert got == want and len(got) == len(runs)
+
     def test_draw_matches_the_converged_shares(self):
         """Each drawn RB is the inverse-CDF pick from the shares, also for
         quantiles just either side of a CDF edge."""
@@ -474,6 +548,22 @@ class TestSolvers:
         solve_grid(model, grid_points=11, max_entries=entries)
         with pytest.raises(SolverCapError):
             solve_grid(model, grid_points=11, max_entries=entries - 1)
+
+    @pytest.mark.parametrize("n_rbs,points,horizon", [(3, 41, 8), (1, 401, 6)])
+    def test_grid_cap_bounds_the_peak(self, n_rbs, points, horizon):
+        """The backup runs over the mesh in chunks, so the traced peak stays
+        within the counted entries plus 64 KB of fixed overhead (the branch
+        lists and small arrays that no count scales with)."""
+        model = small_model(n_rbs=n_rbs, horizon=horizon, eps=0.1, phi=0.3)
+        counted = 8 * points ** n_rbs * (horizon + 1 + n_rbs + n_rbs + 1)
+        solve_grid(model, grid_points=3)         # warm the branch lists
+        tracemalloc.start()
+        try:
+            solve_grid(model, grid_points=points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted + 64 * 1024
 
     def test_exact_cap(self):
         model = PomdpModel(markov=PINNED_MARKOV,
