@@ -222,14 +222,12 @@ class Simulation:
             n, pool, n_slices = rows.stop, rbs.stop, slices.stop
         self.n_devices, self.pool, self.n_slices = n, pool, n_slices
 
-        def per_slice(values):     # one entry per (run, slice)
-            return np.array([v for cfg in configs for v in values(cfg)])
-
-        slice_devices = per_slice(lambda c: [s.devices for s in c.slices])
+        slices = [s for cfg in configs for s in cfg.slices]     # by (run, slice)
+        slice_devices = np.array([s.devices for s in slices])
         run_slices = [len(cfg.slices) for cfg in configs]
         run_devices = [cfg.topology.devices for cfg in configs]
         self.device_slice = np.repeat(np.arange(n_slices), slice_devices)
-        self.allocation = [s.access_rbs for cfg in configs for s in cfg.slices]
+        self.allocation = [s.access_rbs for s in slices]
         self._slice_sizes = slice_devices.astype(float)[self.device_slice]
         # each slice's run: its first slice and its first RB; each row's last RB
         self._run_first_slice = np.repeat([r.slices.start for r in self.runs], run_slices)
@@ -269,8 +267,7 @@ class Simulation:
             # the silent bin that sleepers point at
             self._rows = np.arange(n)
             self._device_ids = self._rows - np.repeat(self._row_bounds[:-1], run_devices)
-            self._device_slice_ids = per_slice(
-                lambda c: [s.slice_id for s in c.slices])[self.device_slice]
+            self._device_slice_ids = np.array([s.slice_id for s in slices])[self.device_slice]
             self._rb_global = np.concatenate(
                 [np.arange(c.topology.access_rbs) for c in configs] + [[-1]])
 

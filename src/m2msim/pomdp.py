@@ -605,7 +605,7 @@ def _start_terms(radio: RadioParams, kappa: bytes):
 
 
 class SliceAccess:
-    """The RB an accessing device draws, for one block layout of the cell.
+    """The RB an accessing device draws, for a cell's block layout or a stack of them.
 
     Each device assumes that all n devices of its slice draw their RB from
     the same distribution q over the slice's R RBs, so k = (n - 1) q_r of

@@ -449,15 +449,19 @@ class TestSliceAccess:
             return converge(rule, p, y, moved, rows)
 
         def solved_by_run():
-            """(run, rows within it) of each solve since the last call."""
-            out = [(int(np.searchsorted(bounds, rows.max(), "right")) - 1, rows)
-                   for rows in solved[id(stacked)]]
-            assert all(lo <= rows.min() for (i, rows), lo in zip(out, bounds[[i for i, _ in out]]))
-            out = [(i, (rows - bounds[i]).tolist()) for i, rows in out]
-            want = [(i, rows.tolist()) for i, rule in enumerate(own) for rows in solved[id(rule)]]
+            """(run, rows within it) of each solve since the last call, by the
+            stacked rule and by the runs' own rules; a stacked solve lies in
+            one run."""
+            got = []
+            for rows in solved[id(stacked)]:
+                run = int(np.searchsorted(bounds, rows.max(), "right")) - 1
+                assert rows.min() >= bounds[run]
+                got.append((run, (rows - bounds[run]).tolist()))
+            want = [(run, rows.tolist()) for run, rule in enumerate(own)
+                    for rows in solved[id(rule)]]
             for calls in solved.values():
                 calls.clear()
-            return out, want
+            return got, want
 
         monkeypatch.setattr(SliceAccess, "_converge", recording)
         rng = np.random.default_rng(27)
