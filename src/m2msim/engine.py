@@ -153,9 +153,18 @@ def planning_rates(radio: RadioParams) -> Tuple[float, float]:
 # what the runs of a batch share: the slot loop's clock, the channel and the arm
 BATCH_SHARED = ("timebase", "markov", "radio", "policy_mode", "sleep_sensing",
                 "hard_collision")
-# bytes of random draws made at a time: whole periods for small runs, one slot
-# at a time once a slot's draws reach this (5000 devices on 25 RBs)
-_DRAW_BYTES = 1 << 20
+# bytes of the RB-step, gain and policy draws made at a time: a period of
+# them for small batches, a slot at a time at 5000 devices
+_DRAW_BYTES = 1 << 17
+
+
+def _fill(draw, out: np.ndarray) -> None:
+    """Fill out with a generator's next values in C order; in place where out
+    is contiguous."""
+    if out.flags.c_contiguous:
+        draw(out=out)
+    else:
+        out[...] = draw(out.shape)
 
 
 def _per_row(values: Sequence[float], rows: Sequence[int]):
@@ -254,13 +263,11 @@ class Simulation:
         self._access: Optional[pomdp.SliceAccess] = None
         # the busy-source power per RB, plus a silent bin that sleepers point at
         self._busy_power = np.zeros(self.pool + 1)
-        widest_pool = max(cfg.topology.access_rbs for cfg in configs)
-        slot_bytes = 8 * (2 * self.pool + 2 * n + n * widest_pool)
-        self._block_slots = int(np.clip(_DRAW_BYTES // slot_bytes, 1,
+        self._block_slots = int(np.clip(_DRAW_BYTES // (8 * (2 * self.pool + 2 * n)), 1,
                                         self._shared.timebase.slots_per_period))
-        # reused: a fresh (devices, pool) array per slot re-faults pages at scale
-        self._obs_u = np.empty((self._block_slots, n, widest_pool))
         self._draws: Tuple[np.ndarray, ...] = ()
+        # reused: a fresh (devices, pool) array per slot re-faults pages at scale
+        self._obs_u = np.empty((n, max(cfg.topology.access_rbs for cfg in configs)))
         self._slot_blocks: List[np.ndarray] = []
         if record_slots:
             # the slot records' per-row columns; the pool index reads -1 in
@@ -300,29 +307,28 @@ class Simulation:
 
     def _slot_draws(self, slot: int) -> Tuple[np.ndarray, ...]:
         """The slot's fixed-rate draws of every run, stacked: RB steps, own
-        gains, background gains, sensing and policy uniforms.  Each stream is
-        drawn `_block_slots` slots at a time, the same values as one slot at
-        a time."""
+        gains, background gains, sensing and policy uniforms.  The sensing
+        uniforms, devices x pool of them, are drawn a slot at a time into one
+        reused array; the other streams `_block_slots` slots at a time, which
+        gives the same values as one slot at a time."""
         j = slot % self._block_slots
         if j == 0:
             slots = min(self._block_slots, self._shared.timebase.slots_per_period - slot)
             n, pool = self.n_devices, self.pool
-            block = (np.empty((slots, pool)), np.empty((slots, n)), np.empty((slots, pool)),
-                     self._obs_u[:slots], np.empty((slots, n)))
+            self._draws = (np.empty((slots, pool)), np.empty((slots, n)),
+                           np.empty((slots, pool)), np.empty((slots, n)))
             for run in self.runs:
-                width = run.config.topology.access_rbs
-                parts = (block[0][:, run.rbs], block[1][:, run.rows], block[2][:, run.rbs],
-                         block[3][:, run.rows, :width], block[4][:, run.rows])
-                state, gain, bg, obs, policy = run.streams
+                state, gain, bg, _, policy = run.streams
+                parts = (self._draws[0][:, run.rbs], self._draws[1][:, run.rows],
+                         self._draws[2][:, run.rbs], self._draws[3][:, run.rows])
                 for draw, part in zip((state.random, gain.standard_normal,
-                                       bg.standard_normal, obs.random, policy.random),
-                                      parts):
-                    if part.flags.c_contiguous:
-                        draw(out=part)
-                    else:
-                        part[...] = draw(part.shape)
-            self._draws = block
-        return tuple(a[j] for a in self._draws)
+                                       bg.standard_normal, policy.random), parts):
+                    _fill(draw, part)
+        for run in self.runs:
+            _fill(run.streams[3].random,
+                  self._obs_u[run.rows, :run.config.topology.access_rbs])
+        state_u, own_gain, bg_gain, policy_u = (a[j] for a in self._draws)
+        return state_u, own_gain, bg_gain, self._obs_u, policy_u
 
     def run_slot(self, slot: int) -> Dict[str, np.ndarray]:
         """Advance occupancy, let every device act, return the slot outcome."""
