@@ -185,6 +185,7 @@ class _Run:
         self.streams = tuple(map(np.random.default_rng, seq.spawn(5)))
         self.weights = np.array([s.weight for s in config.slices], dtype=float)
         self.policies: Dict[int, object] = {}
+        self.sensing: Optional[np.ndarray] = None     # its rows of the sensing draws
         self.width = 0                          # its widest block this period
         self.filtered_rates: Optional[np.ndarray] = None
         self.prev_gap = np.zeros(len(config.slices))
@@ -215,9 +216,10 @@ class Simulation:
             raise ValueError("a batch needs at least one run")
         for cfg in configs:
             cfg.validate()
-        for name in BATCH_SHARED:
-            if any(getattr(cfg, name) != getattr(configs[0], name) for cfg in configs):
-                raise ValueError(f"the runs of a batch must share {name}")
+        for cfg in configs[1:]:
+            for name in BATCH_SHARED:
+                if getattr(cfg, name) != getattr(configs[0], name):
+                    raise ValueError(f"the runs of a batch must share {name}")
         self.record_slots = record_slots
         self._shared = configs[0]      # read for BATCH_SHARED fields only
 
@@ -263,11 +265,13 @@ class Simulation:
         self._access: Optional[pomdp.SliceAccess] = None
         # the busy-source power per RB, plus a silent bin that sleepers point at
         self._busy_power = np.zeros(self.pool + 1)
-        self._block_slots = int(np.clip(_DRAW_BYTES // (8 * (2 * self.pool + 2 * n)), 1,
-                                        self._shared.timebase.slots_per_period))
+        self._block_slots = max(1, min(_DRAW_BYTES // (8 * (2 * self.pool + 2 * n)),
+                                       self._shared.timebase.slots_per_period))
         self._draws: Tuple[np.ndarray, ...] = ()
         # reused: a fresh (devices, pool) array per slot re-faults pages at scale
         self._obs_u = np.empty((n, max(cfg.topology.access_rbs for cfg in configs)))
+        for run in self.runs:
+            run.sensing = self._obs_u[run.rows, :run.config.topology.access_rbs]
         self._slot_blocks: List[np.ndarray] = []
         if record_slots:
             # the slot records' per-row columns; the pool index reads -1 in
@@ -325,10 +329,9 @@ class Simulation:
                                        bg.standard_normal, policy.random), parts):
                     _fill(draw, part)
         for run in self.runs:
-            _fill(run.streams[3].random,
-                  self._obs_u[run.rows, :run.config.topology.access_rbs])
-        state_u, own_gain, bg_gain, policy_u = (a[j] for a in self._draws)
-        return state_u, own_gain, bg_gain, self._obs_u, policy_u
+            _fill(run.streams[3].random, run.sensing)
+        state_u, own_gain, bg_gain, policy_u = self._draws
+        return state_u[j], own_gain[j], bg_gain[j], self._obs_u, policy_u[j]
 
     def run_slot(self, slot: int) -> Dict[str, np.ndarray]:
         """Advance occupancy, let every device act, return the slot outcome."""
@@ -406,7 +409,8 @@ class Simulation:
         if self._unequal_noise:
             rows = np.flatnonzero(actions > 0)
             cols = actions[rows] - 1
-            epsilon = np.broadcast_to(self._epsilon, (self.n_devices, 1))[rows, 0]
+            epsilon = (self._epsilon[rows, 0] if isinstance(self._epsilon, np.ndarray)
+                       else self._epsilon)
             saw_idle[rows, cols] = pomdp.reading(idle_now[rows, cols], u[rows, cols], epsilon)
         self.beliefs = pomdp.bayes_update(
             predicted, actions, saw_idle, self._epsilon, self._phi,

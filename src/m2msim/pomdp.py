@@ -197,12 +197,13 @@ def bayes_update(predicted: np.ndarray, actions: np.ndarray, saw_idle: np.ndarra
         posterior = predicted.copy()    # only the accessed RB is heard
     # the accessed entries are redone only where that changes them
     redo = np.not_equal(trust_eps, trust_phi) | (not sleep_sensing)
-    if np.any(redo):
-        rows = np.flatnonzero((actions > 0) & np.ravel(redo))
-        cols = actions[rows] - 1
-        trust = np.broadcast_to(trust_eps, (len(predicted), 1))[rows, 0]
-        posterior[rows, cols] = _posterior(predicted[rows, cols], saw_idle[rows, cols],
-                                           trust)
+    if not redo.any():
+        return posterior
+    accessing = actions > 0
+    rows = np.flatnonzero(accessing if redo.ndim == 0 else accessing & redo[:, 0])
+    cols = actions[rows] - 1
+    trust = trust_eps[rows, 0] if trust_eps.ndim else trust_eps
+    posterior[rows, cols] = _posterior(predicted[rows, cols], saw_idle[rows, cols], trust)
     return posterior
 
 
