@@ -244,11 +244,14 @@ class Simulation:
         self._run_first_slice = np.repeat([r.slices.start for r in self.runs], run_slices)
         self._run_first_rb = np.repeat([r.rbs.start for r in self.runs], run_slices)
         self._last_rb = np.repeat([r.rbs.stop - 1 for r in self.runs], run_devices)
-        # the flip rates: one float when the runs share it, else a column of
-        # one per row (broadcasting a column costs time at scale)
-        self._epsilon = _per_row([cfg.obs.epsilon for cfg in configs], run_devices)
-        self._phi = _per_row([cfg.obs.phi for cfg in configs], run_devices)
-        self._unequal_noise = any(cfg.obs.epsilon != cfg.obs.phi for cfg in configs)
+        # the flip rates, raw and trusted: one float when the runs share it,
+        # else a column of one per row (broadcasting a column costs time at scale)
+        obs = [cfg.obs for cfg in configs]
+        self._epsilon = _per_row([o.epsilon for o in obs], run_devices)
+        self._phi = _per_row([o.phi for o in obs], run_devices)
+        self._trust_eps = _per_row([o.trusted_epsilon for o in obs], run_devices)
+        self._trust_phi = _per_row([o.trusted_phi for o in obs], run_devices)
+        self._unequal_noise = any(o.epsilon != o.phi for o in obs)
         self._row_bounds = [r.rows.start for r in self.runs] + [n]
 
         stationary = self._shared.markov.stationary_idle()
@@ -413,7 +416,7 @@ class Simulation:
                        else self._epsilon)
             saw_idle[rows, cols] = pomdp.reading(idle_now[rows, cols], u[rows, cols], epsilon)
         self.beliefs = pomdp.bayes_update(
-            predicted, actions, saw_idle, self._epsilon, self._phi,
+            predicted, actions, saw_idle, self._trust_eps, self._trust_phi,
             self._shared.sleep_sensing) * self._belief_mask
         return saw_idle
 

@@ -179,18 +179,17 @@ def _posterior(prior: np.ndarray, saw_idle: np.ndarray, trust: float) -> np.ndar
 
 
 def bayes_update(predicted: np.ndarray, actions: np.ndarray, saw_idle: np.ndarray,
-                 epsilon, phi, sleep_sensing: bool = True) -> np.ndarray:
+                 trust_eps, trust_phi, sleep_sensing: bool = True) -> np.ndarray:
     """Bayes step of N devices' per-RB idle probabilities after one slot's readings.
 
     predicted (N, R) holds the propagated beliefs, saw_idle (N, R) where each
     reading said idle, actions (N,) 0 to sleep or r to access column r - 1.
-    epsilon and phi are the sensor's flip rates (`ObservationModel`), floats
-    or (N, 1) columns of one per row.  Readings are weighed at
-    min(phi, 0.5), the accessed one at min(epsilon, 0.5); without
-    sleep_sensing only the accessed RB is heard and the others keep their
-    prediction.  A zero-likelihood reading keeps the prior.
+    Readings are weighed at the trusted phi, the accessed one at the trusted
+    epsilon (`ObservationModel.trusted_phi`, `trusted_epsilon`), each a float
+    or an (N, 1) column of one per row; without sleep_sensing only the
+    accessed RB is heard and the others keep their prediction.  A
+    zero-likelihood reading keeps the prior.
     """
-    trust_eps, trust_phi = np.minimum(epsilon, 0.5), np.minimum(phi, 0.5)
     if sleep_sensing:
         posterior = _posterior(predicted, saw_idle, trust_phi)
     else:
@@ -202,7 +201,7 @@ def bayes_update(predicted: np.ndarray, actions: np.ndarray, saw_idle: np.ndarra
     accessing = actions > 0
     rows = np.flatnonzero(accessing if redo.ndim == 0 else accessing & redo[:, 0])
     cols = actions[rows] - 1
-    trust = trust_eps[rows, 0] if trust_eps.ndim else trust_eps
+    trust = trust_eps[rows, 0] if isinstance(trust_eps, np.ndarray) else trust_eps
     posterior[rows, cols] = _posterior(predicted[rows, cols], saw_idle[rows, cols], trust)
     return posterior
 
@@ -227,7 +226,7 @@ def belief_update(belief: np.ndarray, action: int, observation: np.ndarray,
     if np.any(sensed & (flip == 0.0) & (m == np.where(saw_idle, 0.0, 1.0))):
         raise BeliefUpdateError("observation impossible under the model")
     out = bayes_update(m[None, :], np.array([action]), saw_idle[None, :],
-                       obs_model.epsilon, obs_model.phi)[0]
+                       obs_model.trusted_epsilon, obs_model.trusted_phi)[0]
     return np.where(sensed, out, m)
 
 
@@ -543,7 +542,7 @@ _STEP_TOL = 1e-6           # converged: no share moves further (uniform share = 
 _MAX_STEPS = 30
 _SETTLE_STEP = 0.05        # largest first step for which the one-step bound holds
 _NODE_STEP = 0.25          # quadrature step in log(s) of the fading integral
-_TERMS_BLOCK = 1 << 20     # elements of each (nodes, k) temporary in `_terms`
+_TERMS_BLOCK = 1 << 20     # elements of each (nodes, k) temporary in `_rate_terms`
 
 
 @functools.lru_cache(maxsize=4)
@@ -711,9 +710,6 @@ class SliceAccess:
         gain, curv, bend = _start_terms(radio, kappa.tobytes())
         return gain[:, layout], curv[:, layout], bend[layout]
 
-    def _terms(self, k: np.ndarray, order: int = 1):
-        return _rate_terms(self._nodes, self._weights, k, order)
-
     def _newton_step(self, y, slope, curv, rows):
         """One Newton step of the scaled shares y (R, n) of `rows` on the simplex.
 
@@ -756,7 +752,7 @@ class SliceAccess:
         for _ in range(_MAX_STEPS):
             if moved.max() <= _STEP_TOL:
                 break
-            gain, curv = self._terms(y * per_share)
+            gain, curv = _rate_terms(self._nodes, self._weights, y * per_share)
             g = gain[1] + p * (gain[0] - gain[1])
             curv = crowd * (curv[1] + p * (curv[0] - curv[1])) + _CURVATURE_FLOOR
             y, moved = self._newton_step(y, g - g[0], curv, rows)

@@ -140,8 +140,9 @@ def test_bayes_update_rows_match_belief_update(eps, phi, sleep_sensing):
         beliefs = rng.random((n, width))
         actions = rng.integers(0, width + 1, size=n)
         saw_idle = rng.random((n, width)) < 0.5
-        batched = pomdp.bayes_update(belief_propagate(beliefs, markov), actions,
-                                     saw_idle, eps, phi, sleep_sensing)
+        batched = pomdp.bayes_update(belief_propagate(beliefs, markov), actions, saw_idle,
+                                     obs_model.trusted_epsilon, obs_model.trusted_phi,
+                                     sleep_sensing)
         readings = np.where(saw_idle, 0, 1)
         if not sleep_sensing:
             readings[np.arange(width) != actions[:, None] - 1] = -1
@@ -184,7 +185,8 @@ def test_beliefs_stay_in_bounds(data):
             assert np.all(np.isfinite(post))
             assert np.all((post >= 0.0) & (post <= 1.0))
         beliefs = pomdp.bayes_update(belief_propagate(beliefs, markov), actions, saw_idle,
-                                     obs_model.epsilon, obs_model.phi, sleep_sensing)
+                                     obs_model.trusted_epsilon, obs_model.trusted_phi,
+                                     sleep_sensing)
         assert np.all(np.isfinite(beliefs))
         assert np.all((beliefs >= 0.0) & (beliefs <= 1.0))
 
