@@ -62,7 +62,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -604,6 +604,14 @@ def _start_terms(radio: RadioParams, kappa: bytes):
     return gain, curv, bend
 
 
+def _layout_tables(radio: RadioParams, per_share: np.ndarray):
+    """`_start_terms` per row of one run: every row of a slice starts at the
+    same k, so each distinct one is evaluated once."""
+    kappa, layout = np.unique(per_share, return_inverse=True)
+    gain, curv, bend = _start_terms(radio, kappa.tobytes())
+    return gain[:, layout], curv[:, layout], bend[layout]
+
+
 class SliceAccess:
     """The RB an accessing device draws, for a cell's block layout or a stack of them.
 
@@ -673,7 +681,7 @@ class SliceAccess:
     """
 
     def __init__(self, valid: np.ndarray, devices: np.ndarray, radio: RadioParams,
-                 bounds: Optional[np.ndarray] = None):
+                 bounds: Optional[Sequence[int]] = None):
         self._valid = np.ascontiguousarray(np.asarray(valid, dtype=bool).T)
         self._inner = self._valid[1:]          # edges between a row's RBs
         self._width = self._valid.sum(axis=0).astype(float)
@@ -686,7 +694,7 @@ class SliceAccess:
         self._runs = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         self._run_widths = [int(self._width[rows].max()) for rows in self._runs]
         gain, curv, bend = (np.concatenate(t, axis=-1) for t in zip(
-            *[self._layout_tables(radio, self._per_share[rows]) for rows in self._runs]))
+            *[_layout_tables(radio, self._per_share[rows]) for rows in self._runs]))
         self._gain_gap0 = gain[0] - gain[1]
         # a lone device's objective is linear in q (and every rate is 0 at zero
         # power); the floor keeps the Newton step finite, so the step puts all
@@ -702,13 +710,6 @@ class SliceAccess:
         run_width = np.repeat(self._run_widths, np.diff(bounds))
         pad = np.arange(len(self._inner))[:, None] >= run_width - 1
         self._edge_pad = pad if pad.any() else None
-
-    def _layout_tables(self, radio, per_share):
-        """`_start_terms` per row of one run: every row of a slice starts at
-        the same k, so each distinct one is evaluated once."""
-        kappa, layout = np.unique(per_share, return_inverse=True)
-        gain, curv, bend = _start_terms(radio, kappa.tobytes())
-        return gain[:, layout], curv[:, layout], bend[layout]
 
     def _newton_step(self, y, slope, curv, rows):
         """One Newton step of the scaled shares y (R, n) of `rows` on the simplex.
