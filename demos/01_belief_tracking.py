@@ -9,8 +9,8 @@ leaves the device with nothing but the chain's own statistics.
 
 import numpy as np
 
-from m2msim.channel import BUSY, IDLE, RbMarkov, evolve_rb
-from m2msim.pomdp import ObservationModel, belief_propagate, belief_update, observe
+from m2msim.channel import BUSY, IDLE, RbMarkov, evolve_many
+from m2msim.pomdp import ObservationModel, belief_propagate, belief_update, reading
 
 
 def track(eps: float, slots: int = 25, seed: int = 4) -> None:
@@ -23,11 +23,11 @@ def track(eps: float, slots: int = 25, seed: int = 4) -> None:
     print(f"\nflip probability {eps}")
     print("slot  truth  reading  P(idle)")
     for k in range(slots):
-        state = evolve_rb(state, markov, rng)
-        reading = observe(state, eps, rng)
-        belief = belief_update(belief, 1, np.array([reading]), markov, obs_model)
+        state = int(evolve_many(state, markov, rng.random()))
+        seen = int(reading(state, rng.random(), eps))
+        belief = belief_update(belief, 1, np.array([seen]), markov, obs_model)
         mark = " <- busy" if state == BUSY else ""
-        print(f"{k:4d}  {state:5d}  {reading:7d}  {belief[0]:7.3f}{mark}")
+        print(f"{k:4d}  {state:5d}  {seen:7d}  {belief[0]:7.3f}{mark}")
 
 
 def chance_level(seed: int = 9) -> None:
@@ -46,7 +46,11 @@ def chance_level(seed: int = 9) -> None:
           f"(stationary idle {markov.stationary_idle():.6f})")
 
 
-if __name__ == "__main__":
+def main() -> None:
     track(0.1)
     track(0.4)
     chance_level()
+
+
+if __name__ == "__main__":
+    main()

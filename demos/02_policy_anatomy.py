@@ -39,8 +39,9 @@ def main() -> None:
               f"{vg:11.6f}   {acts}")
     print(f"\nexact vs enumeration: max gap "
           f"{np.max(np.abs([exact.value(b) for b in beliefs] - reference)):.2e}")
-    print("\nexact policy internals:")
-    print(exact.dump())
+    print("\nexact policy: alpha vectors kept per slot (sleep, access-1, access-2)")
+    for k, table in enumerate(exact.per_action):
+        print(f"slot {k}: " + ", ".join(str(len(table[a])) for a in sorted(table)))
 
 
 if __name__ == "__main__":

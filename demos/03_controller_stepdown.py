@@ -38,7 +38,11 @@ def integer_layer() -> None:
         print(f"  {prev} + {deltas} -> {new}")
 
 
-if __name__ == "__main__":
+def main() -> None:
     tracking()
     tracking(plant_mu=3.0)
     integer_layer()
+
+
+if __name__ == "__main__":
+    main()

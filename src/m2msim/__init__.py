@@ -9,7 +9,7 @@ from .controller import (ControllerParams, apply_allocation, closed_loop_referen
 from .engine import (RunSummary, ScenarioConfig, Simulation, aggregate_sweep,
                      run_batch, run_simulation, run_sweep, with_axis_value)
 from .pomdp import (ObservationModel, PomdpModel, belief_propagate, belief_update,
-                    observe, solve, total_discounted_reward)
+                    solve, total_discounted_reward)
 from .slicing import VirtualNetwork, period_average_rate, ratios
 
 __version__ = "0.1.0"
@@ -23,7 +23,7 @@ __all__ = [
     "RunSummary", "ScenarioConfig", "Simulation", "aggregate_sweep",
     "run_batch", "run_simulation", "run_sweep", "with_axis_value",
     "ObservationModel", "PomdpModel", "belief_propagate",
-    "belief_update", "observe", "solve", "total_discounted_reward",
+    "belief_update", "solve", "total_discounted_reward",
     "VirtualNetwork", "period_average_rate", "ratios",
     "__version__",
 ]

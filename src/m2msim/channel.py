@@ -128,11 +128,6 @@ class CellTopology:
             raise ValueError("devices must be >= 1")
 
 
-def evolve_rb(state: int, markov: RbMarkov, rng: np.random.Generator) -> int:
-    """Draw the next occupancy state of one RB: evolve_many's one-RB case."""
-    return int(evolve_many(state, markov, rng.random()))
-
-
 def evolve_many(states: np.ndarray, markov: RbMarkov, uniforms: np.ndarray) -> np.ndarray:
     """Next occupancy of each RB: one uniform draw per RB, supplied by the caller."""
     p_idle = np.where(states == IDLE, markov.p_idle_idle, markov.p_busy_idle)

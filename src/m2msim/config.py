@@ -246,15 +246,15 @@ def list_profiles() -> List[str]:
                   if entry.name.endswith(".yaml"))
 
 
-def read_source(source: Union[str, Path]) -> Tuple[str, str]:
-    """Resolve a path or profile name; returns (text, label)."""
+def read_source(source: Union[str, Path]) -> str:
+    """The text of a config file path or shipped profile name."""
     path = Path(source)
     if path.is_file():
-        return path.read_text(), path.stem
+        return path.read_text()
     name = str(source).replace("-", "_")
     candidate = _profile_root() / f"{name}.yaml"
     if candidate.is_file():
-        return candidate.read_text(), str(source)
+        return candidate.read_text()
     raise ConfigError("", f"no config file or profile named {source!r}; "
                           f"shipped profiles: {', '.join(list_profiles())}")
 
@@ -262,9 +262,8 @@ def read_source(source: Union[str, Path]) -> Tuple[str, str]:
 def load_config(source: Union[str, Path], overrides: Sequence[str] = (),
                 seed: Optional[int] = None) -> ScenarioConfig:
     """Load a scenario from a file path or shipped profile name."""
-    text, _ = read_source(source)
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.safe_load(read_source(source))
     except yaml.YAMLError as exc:
         raise ConfigError("", f"not parseable as YAML: {exc}") from exc
     if not isinstance(doc, Mapping):

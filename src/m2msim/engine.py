@@ -94,6 +94,12 @@ class ScenarioConfig:
         if self.force_equal_noise and self.obs.epsilon != self.obs.phi:
             raise ConfigError("observation.phi", "epsilon and phi differ; "
                                                  "set force_equal_noise false to allow that")
+        if self.solver_mode == "myopic":
+            # the engine's per-RB rates are equal, so one RB stands for every width
+            try:
+                pomdp.MyopicPolicy(_planning_model(self, 1))
+            except ValueError as exc:
+                raise ConfigError("policy.solver", str(exc)) from None
 
 
 # One device-slot, named as slots.csv's columns but for reward, which repeats
@@ -148,6 +154,15 @@ def planning_rates(radio: RadioParams) -> Tuple[float, float]:
     idle = rate(radio.tx_power, 0.0, radio)
     busy = rate(radio.tx_power, radio.effective_busy_power, radio)
     return float(idle), float(busy)
+
+
+def _planning_model(config: ScenarioConfig, width: int) -> PomdpModel:
+    """One device's planning model over a block `width` RBs wide."""
+    idle, busy = planning_rates(config.radio)
+    return PomdpModel(markov=config.markov, obs=config.obs,
+                      horizon=config.timebase.slots_per_period, discount=config.discount,
+                      rate_idle=np.full(width, idle), rate_busy=np.full(width, busy),
+                      sleep_sensing=config.sleep_sensing)
 
 
 # what the runs of a batch share: the slot loop's clock, the channel and the arm
@@ -258,7 +273,6 @@ class Simulation:
         self.rb_states = np.concatenate([
             np.where(r.streams[0].random(r.config.topology.access_rbs) < stationary,
                      IDLE, BUSY) for r in self.runs])
-        self.rate_idle, self.rate_busy = planning_rates(self._shared.radio)
 
         self.period_index = 0
         self.beliefs: Optional[np.ndarray] = None
@@ -291,20 +305,15 @@ class Simulation:
         """The planning policy of a slice `width` RBs wide, solved once per run.
 
         Under solver auto, outside the myopic case, a model whose planners
-        provably always access gets `pomdp.AccessPolicy` and no solve."""
+        provably always access gets the greedy rule, whose sign is then
+        theirs, and no solve."""
         if width not in run.policies:
             cfg = run.config
-            model = PomdpModel(
-                markov=cfg.markov, obs=cfg.obs,
-                horizon=cfg.timebase.slots_per_period,
-                discount=cfg.discount,
-                rate_idle=np.full(width, self.rate_idle),
-                rate_busy=np.full(width, self.rate_busy),
-                sleep_sensing=cfg.sleep_sensing)
+            model = _planning_model(cfg, width)
             if (cfg.solver_mode == "auto"
                     and not model.action_independent_observations()
                     and pomdp.access_certified(model)):
-                run.policies[width] = pomdp.AccessPolicy(model)
+                run.policies[width] = pomdp.MyopicPolicy(model)
             else:
                 run.policies[width] = pomdp.solve(model, mode=cfg.solver_mode,
                                                   grid_points=cfg.grid_points)
@@ -385,13 +394,13 @@ class Simulation:
         access = None
         for run in self.runs:
             widest = self._policy(run, run.width)
-            if widest.any_width and widest.all_access(slot):
+            if isinstance(widest, pomdp.MyopicPolicy) and widest.all_access(slot):
                 continue
             if access is None:
                 access = np.ones(self.n_devices, dtype=bool)
             beliefs = self.beliefs[run.rows, :run.width]
             valid = self._belief_mask[run.rows, :run.width]
-            if widest.any_width:       # myopic or certified: the cheaper sign
+            if isinstance(widest, pomdp.MyopicPolicy):    # any width, the cheaper sign
                 access[run.rows] = widest.accesses(beliefs, valid, slot)
                 continue
             mine, widths = access[run.rows], self._belief_widths[run.rows]

@@ -36,15 +36,17 @@ Three interchangeable solver modes:
           device does, and the greedy rule is provably optimal.  This is the
           production path for wide slices.
 
-The simulator reads only the sign of a planner's action, so under solver
-auto it certifies before it solves: where `access_certified` proves that
-exact and grid would access at every belief and slot, `AccessPolicy` stands
-in for them and nothing is solved.  The myopic case keeps its own rule.
+The simulator reads only the sign of a planner's action.  Where
+`access_certified` proves that exact and grid access at every belief and
+slot, every expected rate is positive and the greedy rule accesses too, so
+`MyopicPolicy` also admits certified models, and under solver auto the
+simulator runs it there and solves nothing.  `solve` never substitutes it:
+its callers may read the planner's RB choice.
 
 Every policy has `act_batch(beliefs (N, R), valid (N, R), slot) -> (N,)`;
-the planners need full-width rows.  The myopic rule and `AccessPolicy` also
-give the sign alone (`accesses`), which skips the argmax, and say when it is
-access for every belief (`all_access`).
+the planners need full-width rows.  The myopic rule also gives the sign
+alone (`accesses`), which skips the argmax, and says when it is access for
+every belief (`all_access`).
 Ties: myopic rates are one product per RB and carry no float noise, so it
 takes their exact argmax (lowest RB first; sleep only when the best rate is
 <= 0).  Exact and grid values do carry noise, so `_pick_action` counts
@@ -236,11 +238,6 @@ def reading(truth, u, flip_prob):
     return truth ^ (u < flip_prob)
 
 
-def observe(true_state: int, flip_prob: float, rng: np.random.Generator) -> int:
-    """Noisy reading of one RB: reading's one-draw case."""
-    return int(reading(true_state, rng.random(), flip_prob))
-
-
 # ---------------------------------------------------------------------------
 # rewards
 
@@ -313,19 +310,22 @@ def _scalar_if_equal(rates: np.ndarray):
 
 
 class MyopicPolicy:
-    """Greedy per-slot rule, optimal when observations ignore the action.
+    """Greedy per-slot rule: optimal when observations ignore the action, and
+    on a model `access_certified` holds for, the planners' sign (every
+    expected rate is then positive, so it accesses at every belief and slot).
 
     Exact argmax of the unweighted expected rates, with no tie band (see the
     module docstring); every device sleeps when the slot weight is 0.  RBs are
-    scored one by one, so narrower rows can be masked in via `valid` (any_width).
+    scored one by one, so narrower rows can be masked in via `valid`: one
+    instance serves every width.
     """
 
     mode = "myopic"
-    any_width = True
 
     def __init__(self, model: PomdpModel):
-        if not model.action_independent_observations():
-            raise ValueError("myopic rule requires epsilon == phi and sleep sensing")
+        if not (model.action_independent_observations() or access_certified(model)):
+            raise ValueError("myopic rule requires epsilon == phi and sleep sensing, "
+                             "or a model whose access is certified")
         self.model = model
         # scalar rates are far cheaper than broadcasting equal rate vectors
         self._rate_idle = _scalar_if_equal(model.rate_idle)
@@ -358,20 +358,11 @@ class MyopicPolicy:
             return np.ones(len(beliefs), dtype=bool)
         return self.act_batch(beliefs, valid, slot) > 0
 
-    def dump(self) -> str:
-        lines = ["policy-dump v1", "mode: myopic",
-                 f"rbs: {self.model.n_rbs}", f"horizon: {self.model.horizon}",
-                 f"discount: {self.model.discount:.12g}",
-                 "rate_idle: " + " ".join(f"{v:.12g}" for v in self.model.rate_idle),
-                 "rate_busy: " + " ".join(f"{v:.12g}" for v in self.model.rate_busy)]
-        return "\n".join(lines) + "\n"
-
 
 class AlphaPolicy:
     """Slot-indexed alpha-vector sets over the joint RB state space."""
 
     mode = "exact"
-    any_width = False
 
     def __init__(self, model: PomdpModel, per_action: List[dict]):
         self.model = model
@@ -399,25 +390,11 @@ class AlphaPolicy:
     def value(self, belief: np.ndarray, slot: int = 0) -> float:
         return float(np.max(self.action_values(np.asarray(belief)[None, :], slot)))
 
-    def dump(self) -> str:
-        lines = ["policy-dump v1", "mode: exact",
-                 f"rbs: {self.model.n_rbs}", f"horizon: {self.model.horizon}",
-                 f"discount: {self.model.discount:.12g}"]
-        names = ["sleep"] + [f"access-{r}" for r in range(1, self.model.n_rbs + 1)]
-        for k, table in enumerate(self.per_action):
-            lines.append(f"slot {k}")
-            for a, vecs in table.items():
-                lines.append(f"  action {names[a]}")
-                for v in vecs:
-                    lines.append("    alpha " + " ".join(f"{x:.12g}" for x in v))
-        return "\n".join(lines) + "\n"
-
 
 class GridPolicy:
     """Per-slot value tables over the product of per-RB belief grids."""
 
     mode = "grid"
-    any_width = False
 
     def __init__(self, model: PomdpModel, grid_points: int, tables: List[np.ndarray]):
         self.model = model
@@ -436,15 +413,6 @@ class GridPolicy:
 
     def value(self, belief: np.ndarray, slot: int = 0) -> float:
         return float(np.max(self.action_values(np.asarray(belief)[None, :], slot)))
-
-    def dump(self) -> str:
-        lines = ["policy-dump v1", "mode: grid",
-                 f"rbs: {self.model.n_rbs}", f"horizon: {self.model.horizon}",
-                 f"discount: {self.model.discount:.12g}",
-                 f"grid_points: {self.grid_points}"]
-        for k, t in enumerate(self.tables[:-1]):
-            lines.append(f"slot {k} value min {t.min():.12g} max {t.max():.12g}")
-        return "\n".join(lines) + "\n"
 
 
 def access_certified(model: PomdpModel) -> bool:
@@ -495,31 +463,6 @@ def access_certified(model: PomdpModel) -> bool:
     later = np.append(np.cumsum(w[::-1])[::-1][1:], 0.0)       # W_k
     band = 1e-9 * np.maximum(1.0, np.max(np.abs(np.append(ri, rb))) * (w + later))
     return bool(np.all(w * a_min - g * lam * later > band))
-
-
-class AccessPolicy:
-    """Always access: what exact and grid choose wherever `access_certified`
-    holds, known without solving.  Only the sign is certified, and it is all
-    the simulator reads; act_batch names the greedy RB (the lowest of the
-    best expected rates), as the myopic rule does.  Any width (see MyopicPolicy).
-    """
-
-    mode = "certified"
-    any_width = True
-
-    def __init__(self, model: PomdpModel):
-        self.model = model
-
-    def act_batch(self, beliefs: np.ndarray, valid: np.ndarray, slot: int) -> np.ndarray:
-        exp_rate = _predicted_rates(self.model, beliefs)
-        exp_rate[~valid] = -np.inf
-        return np.argmax(exp_rate, axis=1) + 1
-
-    def all_access(self, slot: int) -> bool:
-        return True
-
-    def accesses(self, beliefs: np.ndarray, valid: np.ndarray, slot: int) -> np.ndarray:
-        return np.ones(len(beliefs), dtype=bool)
 
 
 def _pick_action(q: np.ndarray) -> np.ndarray:
@@ -891,7 +834,10 @@ def _prune_lines(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return vecs[sorted(keep)]
 
 
-def _prune(vectors: np.ndarray, tol: float = 1e-11, cap: int = 0) -> np.ndarray:
+_ALPHA_CAP = 200_000       # candidate alpha vectors one prune takes
+
+
+def _prune(vectors: np.ndarray, tol: float = 1e-11) -> np.ndarray:
     """Keep a subset whose pointwise max over the simplex matches the input.
 
     Dedupe, then certify winners on a fixed probe set, discard vectors
@@ -900,9 +846,9 @@ def _prune(vectors: np.ndarray, tol: float = 1e-11, cap: int = 0) -> np.ndarray:
     """
     vecs = _dedupe(np.asarray(vectors, dtype=float))
     n, s = vecs.shape
-    if cap and n > cap:
+    if n > _ALPHA_CAP:
         raise SolverCapError(
-            f"{n} candidate alpha vectors exceed the cap {cap}; use grid mode")
+            f"{n} candidate alpha vectors exceed the cap {_ALPHA_CAP}; use grid mode")
     if n <= 1:
         return vecs
     if s == 2:
@@ -966,7 +912,7 @@ def _cross_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1])
 
 
-def solve_exact(model: PomdpModel, alpha_cap: int = 200_000) -> AlphaPolicy:
+def solve_exact(model: PomdpModel) -> AlphaPolicy:
     """Backward induction with one pruned alpha-vector set per slot and action."""
     n = model.n_rbs
     if n > 4:
@@ -1002,8 +948,8 @@ def solve_exact(model: PomdpModel, alpha_cap: int = 200_000) -> AlphaPolicy:
             out = np.zeros((1, s))
             for like in branch_like[a]:
                 g = gamma @ (t * like[None, :]).T
-                g = _prune(g, cap=alpha_cap)
-                out = _prune(_cross_sum(out, g), cap=alpha_cap)
+                g = _prune(g)
+                out = _prune(_cross_sum(out, g))
             return out
 
         # adding the same immediate-reward vector to a pruned set keeps it
@@ -1014,7 +960,7 @@ def solve_exact(model: PomdpModel, alpha_cap: int = 200_000) -> AlphaPolicy:
         else:
             table = {a: folded_future(a) + w * imm[a][None, :] for a in actions}
         per_action[k] = table
-        gamma = _prune(np.vstack(list(table.values())), cap=alpha_cap)
+        gamma = _prune(np.vstack(list(table.values())))
     return AlphaPolicy(model, per_action)
 
 
@@ -1082,11 +1028,10 @@ def solve_grid(model: PomdpModel, grid_points: int = 101,
     return GridPolicy(model, grid_points, tables)
 
 
-def solve(model: PomdpModel, mode: str = "auto", grid_points: int = 101,
-          alpha_cap: int = 200_000):
+def solve(model: PomdpModel, mode: str = "auto", grid_points: int = 101):
     """Plan one horizon; returns a policy with .act_batch(beliefs, valid, slot)."""
     if mode == "exact":
-        return solve_exact(model, alpha_cap=alpha_cap)
+        return solve_exact(model)
     if mode == "grid":
         return solve_grid(model, grid_points=grid_points)
     if mode == "myopic":
@@ -1095,7 +1040,7 @@ def solve(model: PomdpModel, mode: str = "auto", grid_points: int = 101,
         if model.action_independent_observations():
             return MyopicPolicy(model)
         if model.n_rbs <= 2 and model.horizon <= 8:
-            return solve_exact(model, alpha_cap=alpha_cap)
+            return solve_exact(model)
         return solve_grid(model, grid_points=grid_points)
     raise ValueError(f"unknown solver mode {mode!r}")
 

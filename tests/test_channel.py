@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from m2msim.channel import (BUSY, IDLE, CellTopology, RadioParams, RbMarkov,
-                            Timebase, dbm_to_watts, evolve_many, evolve_rb,
-                            rate)
+                            Timebase, dbm_to_watts, evolve_many, rate)
 
 
 def test_dbm_conversion():
@@ -55,7 +54,7 @@ class TestEvolution:
         state, idles = IDLE, 0
         n = 40_000
         for _ in range(n):
-            state = evolve_rb(state, chain, rng)
+            state = int(evolve_many(state, chain, rng.random()))
             idles += state == IDLE
         assert idles / n == pytest.approx(chain.stationary_idle(), abs=0.01)
 

@@ -110,6 +110,18 @@ class TestRun:
         assert code == cli.EXIT_CONFIG
         assert "observation.epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        ("observation.sleep_sensing=false",),
+        ("observation.force_equal_noise=false", "observation.phi=0.3")])
+    def test_myopic_outside_its_regime_names_the_solver(self, overrides, tmp_path, capsys):
+        """Neither action-independent nor certified: refused before the run."""
+        argv = ["run", *SMALL, "--set", "policy.solver=myopic", "--out", str(tmp_path)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert run_cli(argv) == cli.EXIT_CONFIG
+        assert "policy.solver" in capsys.readouterr().err
+        assert not (tmp_path / "periods.csv").exists()
+
     def test_unknown_profile_lists_the_shipped_ones(self, tmp_path, capsys):
         code = run_cli(["run", "--config", "missing-profile",
                         "--out", str(tmp_path)])

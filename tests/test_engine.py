@@ -414,6 +414,9 @@ CODE_REFUSALS = {
                 VirtualNetwork(slice_id=2, devices=1, access_rbs=2, data_rbs=0,
                                weight=2.0))), "slices"),
     "equal-noise": (dict(obs=ObservationModel(0.1, 0.3)), "observation.phi"),
+    # neither action-independent (no sleep sensing) nor certified (discount 0)
+    "myopic": (dict(solver_mode="myopic", sleep_sensing=False, discount=0.0),
+               "policy.solver"),
 }
 
 

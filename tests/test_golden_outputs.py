@@ -8,6 +8,10 @@ before one schema table replaced the per-section config readers.  A change
 that alters any simulated number, its formatting or the serialized scenario
 behind a run id shows up here, not only in the benchmark.
 
+The exact-solve and grid-solve digests were recorded before the greedy rule
+took over certified access.  They pin runs that really solve a planner: at
+the profile's discount the exact-solver case is certified and solves nothing.
+
 The sweep digests pin `m2msim sweep`, whose runs share a batched slot loop:
 the benchmark's epsilon sweep, and a devices sweep with the controller on,
 so that the runs of one batch differ in size and their allocations diverge.
@@ -23,6 +27,12 @@ from m2msim import cli
 # the power in watts with a busy-source power, the random arm, hard collisions
 WATTS_RANDOM = ("radio.tx_power_dbm=null", "radio.tx_power=0.1",
                 "radio.busy_power=0.25", "policy.mode=random", "hard_collision=true")
+
+# the exact-solver scenario where access is not certified, so each run really
+# solves: exact at two RBs a slice, grid at three
+EXACT_SOLVE = EXACT_SOLVER + ("policy.discount=0.5",)
+GRID_SOLVE = EXACT_SOLVE + ("slices.0.access_rbs=3", "slices.1.access_rbs=3",
+                            "policy.grid_points=21")
 
 # (profile, seed, overrides) -> sha256 of (periods.csv, summary.csv, slots.csv);
 # a case with a slots.csv digest runs with --slots
@@ -64,6 +74,14 @@ GOLDEN = {
         "2c07515c6e37750476b00db8b40d3272af4a85c0bff6193b2eb753aa5d1cfbf4",
         "571b25bffd4f20bcd212a7441d8610a8bb13643bc8c349db2ee5a07532b85485",
         "ea71379fed3c4860cff50db6c48cd028e0e07688108717a9351b66c8743637c7"),
+    ("two-slice", 1, EXACT_SOLVE): (
+        "2c07515c6e37750476b00db8b40d3272af4a85c0bff6193b2eb753aa5d1cfbf4",
+        "ec72986ecb2c0e8b010bc7baa873ca32408cd839ae3b797146b4f980e196fd5b",
+        "ea71379fed3c4860cff50db6c48cd028e0e07688108717a9351b66c8743637c7"),
+    ("two-slice", 1, GRID_SOLVE): (
+        "5c95a18bb84eeb5135417345eece882f35f186d8c365ec35b1e4a30d0beb8303",
+        "7203cd359211f1d5fe7f3a4da81e85c5177e2dda8480dcdd5bc6742828a1f6f8",
+        "5fc4824e2550381550482ddb1e7c05181ae027087cafc06983f5a75b24cd69cb"),
     # the run id in summary.csv hashes the serialized scenario, so this pins
     # the watts power form, busy_power and the top-level flags as written
     ("two-slice", 1, WATTS_RANDOM): (
@@ -79,7 +97,8 @@ def _sha256(path) -> str:
 
 def _case_id(case) -> str:
     profile, seed, overrides = case
-    names = {EXACT_SOLVER: ["exact-solver"],
+    names = {EXACT_SOLVER: ["exact-solver"], EXACT_SOLVE: ["exact-solve"],
+             GRID_SOLVE: ["grid-solve"],
              WATTS_RANDOM: ["watts-random"]}.get(overrides, overrides)
     return "-".join([profile, str(seed), *names])
 

@@ -11,8 +11,8 @@ from m2msim.channel import RbMarkov
 from m2msim.pomdp import (SLEEP, BeliefUpdateError, MyopicPolicy,
                           ObservationModel, PomdpModel, SliceAccess,
                           SolverCapError, access_certified, belief_propagate,
-                          belief_update, exhaustive_value,
-                          observe, solve, solve_exact, solve_grid,
+                          belief_update, exhaustive_value, reading,
+                          solve, solve_exact, solve_grid,
                           total_discounted_reward)
 
 
@@ -192,16 +192,17 @@ def test_beliefs_stay_in_bounds(data):
 
 
 class TestObserve:
+    """The sensor's reading law, `reading`, on single states."""
+
     def test_flip_extremes(self):
-        rng = np.random.default_rng(1)
-        assert all(observe(0, 0.0, rng) == 0 for _ in range(50))
-        assert all(observe(0, 1.0, rng) == 1 for _ in range(50))
-        assert all(observe(1, 1.0, rng) == 0 for _ in range(50))
+        u = np.random.default_rng(1).random(50)
+        assert np.all(reading(0, u, 0.0) == 0)
+        assert np.all(reading(0, u, 1.0) == 1)
+        assert np.all(reading(1, u, 1.0) == 0)
 
     def test_flip_frequency(self):
-        rng = np.random.default_rng(3)
-        flips = sum(observe(0, 0.3, rng) for _ in range(20_000))
-        assert flips / 20_000 == pytest.approx(0.3, abs=0.01)
+        u = np.random.default_rng(3).random(20_000)
+        assert reading(0, u, 0.3).mean() == pytest.approx(0.3, abs=0.01)
 
 
 class TestRewards:
@@ -523,8 +524,11 @@ class TestSolvers:
                 exact.value(b), abs=1e-12)
 
     def test_myopic_requires_action_independence(self):
-        with pytest.raises(ValueError):
-            MyopicPolicy(small_model(eps=0.1, phi=0.4))
+        # neither action-independent nor certified: discount 0 never is
+        model = small_model(eps=0.1, phi=0.4, discount=0.0)
+        assert not access_certified(model)
+        with pytest.raises(ValueError, match="myopic"):
+            MyopicPolicy(model)
 
     def test_grid_converges_to_exact(self):
         rng = np.random.default_rng(6)
@@ -599,14 +603,6 @@ class TestSolvers:
              + (1 - belief_propagate(b, model.markov)) * model.rate_busy]))
         assert policy.value(b) == pytest.approx(expected, abs=1e-12)
 
-    def test_dumps_are_structured(self):
-        model = small_model(n_rbs=1, horizon=2)
-        for policy in (solve_exact(model), solve_grid(model, 11),
-                       MyopicPolicy(model)):
-            text = policy.dump()
-            assert text.startswith("policy-dump v1")
-            assert f"mode: {policy.mode}" in text
-
 
 def _mesh(n_rbs: int, points: int) -> np.ndarray:
     axes = [np.linspace(0.0, 1.0, points)] * n_rbs
@@ -666,13 +662,18 @@ class TestAccessCertificate:
         assert access_certified(small_model(horizon=3, eps=0.1, phi=0.3, discount=0.9))
 
     def test_access_policy_always_accesses(self):
+        """On a certified model the greedy rule is admitted although eps !=
+        phi, and it accesses at every belief and slot, at any width."""
         model = small_model(n_rbs=3, eps=0.1, phi=0.3)
-        policy = pomdp.AccessPolicy(model)
+        assert access_certified(model) and not model.action_independent_observations()
+        policy = MyopicPolicy(model)
         beliefs = np.random.default_rng(8).random((50, 3))
         valid = np.arange(3) < np.array([1, 2, 3] * 16 + [3, 3])[:, None]
-        assert np.all(policy.accesses(beliefs, valid, 0))
-        actions = policy.act_batch(beliefs * valid, valid, 0)
-        assert np.all((actions >= 1) & (actions <= valid.sum(axis=1)))
+        for slot in range(model.horizon):
+            assert policy.all_access(slot)
+            assert np.all(policy.accesses(beliefs, valid, slot))
+            actions = policy.act_batch(beliefs * valid, valid, slot)
+            assert np.all((actions >= 1) & (actions <= valid.sum(axis=1)))
 
 
 class TestModelValidation:
