@@ -94,39 +94,52 @@ def _period_rows(summary: engine.RunSummary) -> List[List]:
              r.delta_applied, r.access_rbs] for r in summary.period_rows]
 
 
-def _write_slots(path: Path, records: np.ndarray) -> None:
-    """Write slots.csv one SLOT_BLOCK of records at a time, column by column.
+def _write_slots(fh, records: np.ndarray) -> None:
+    """Append slot records to slots.csv one SLOT_BLOCK at a time, column by
+    column.
 
     Every field is a number, so nothing needs quoting: each int column is one
     `%d` format (equal to str), the rate is one `%.9g` format (equal to
     `_fmt`) written as both rate and reward, and rows end in csv.writer's
-    CRLF.  Blocks are written as they are formatted, never joined for the
-    whole run."""
+    CRLF.  Blocks are written as they are formatted, never joined."""
     ints = engine.SLOT_RECORD.names[:-1]
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(SLOT_HEADER) + "\r\n")
-        for start in range(0, records.size, SLOT_BLOCK):
-            block = records[start:start + SLOT_BLOCK]
-            n = block.size
-            columns = [("%d\n" * n % tuple(block[name].tolist())).splitlines()
-                       for name in ints]
-            rate = ("%.9g\n" * n % tuple(block["rate"].tolist())).splitlines()
-            fh.write("\r\n".join(map(",".join, zip(*columns, rate, rate))) + "\r\n")
+    for start in range(0, records.size, SLOT_BLOCK):
+        block = records[start:start + SLOT_BLOCK]
+        n = block.size
+        columns = [("%d\n" * n % tuple(block[name].tolist())).splitlines()
+                   for name in ints]
+        rate = ("%.9g\n" * n % tuple(block["rate"].tolist())).splitlines()
+        fh.write("\r\n".join(map(",".join, zip(*columns, rate, rate))) + "\r\n")
+
+
+@contextlib.contextmanager
+def _slots_csv(path: Path):
+    """A slot sink that appends each period's records to slots.csv as the run
+    makes them.  The file is written under a temporary name beside `path`
+    and moved into place when the block exits cleanly; when it raises, the
+    temporary file is removed, so a failed run leaves no partial file."""
+    part = path.with_name(path.name + ".part")
+    try:
+        with part.open("w", newline="") as fh:
+            fh.write(",".join(SLOT_HEADER) + "\r\n")
+            yield lambda _run, records: _write_slots(fh, records)
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
 
 
 # -- run ----------------------------------------------------------------------
 
 def cmd_run(args) -> int:
     cfg = cfglib.load_config(args.config, args.overrides, seed=args.seed)
-    summary = run_simulation(cfg, record_slots=args.slots)
     out = _out_dir(args)
+    with _slots_csv(out / "slots.csv") if args.slots else contextlib.nullcontext() as sink:
+        summary = run_simulation(cfg, slot_sink=sink)
     rid = _run_id(cfg, _label(args.config))
     _write_csv(out / "periods.csv", PERIOD_HEADER, _period_rows(summary))
     _write_csv(out / "summary.csv", SUMMARY_HEADER,
                [[rid, cfg.seed, "", _fmt(summary.mean_discounted_reward),
                  _fmt(summary.final_max_abs_gap)]])
-    if args.slots:
-        _write_slots(out / "slots.csv", summary.slot_records)
     print(f"{rid}: mean_discounted_reward={_fmt(summary.mean_discounted_reward)} "
           f"final_max_abs_gap={_fmt(summary.final_max_abs_gap)} -> {out}")
     return EXIT_OK

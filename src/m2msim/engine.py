@@ -124,17 +124,21 @@ class PeriodRow:
     access_rbs: int
 
 
+# Takes (run index in the batch, that run's SLOT_RECORDs of one period, by
+# slot then device).  The array is the engine's reused buffer: it is valid only
+# during the call, so a sink that keeps records copies them.
+SlotSink = Callable[[int, np.ndarray], None]
+
+
 @dataclass
 class RunSummary:
     """One run's results.  mean_discounted_reward is the mean over periods of
-    the device mean horizon total; slot_records is one SLOT_RECORD per
-    device-slot (by period, slot, device) when slots are recorded, else None."""
+    the device mean horizon total."""
 
     seed: int
     mean_discounted_reward: float
     final_max_abs_gap: float
     period_rows: List[PeriodRow]
-    slot_records: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -225,7 +229,8 @@ class Simulation:
     BATCH_SHARED.
     """
 
-    def __init__(self, configs: Sequence[ScenarioConfig], record_slots: bool = False):
+    def __init__(self, configs: Sequence[ScenarioConfig],
+                 slot_sink: Optional[SlotSink] = None):
         configs = list(configs)
         if not configs:
             raise ValueError("a batch needs at least one run")
@@ -235,7 +240,7 @@ class Simulation:
             for name in BATCH_SHARED:
                 if getattr(cfg, name) != getattr(configs[0], name):
                     raise ValueError(f"the runs of a batch must share {name}")
-        self.record_slots = record_slots
+        self._slot_sink = slot_sink
         self._shared = configs[0]      # read for BATCH_SHARED fields only
 
         self.runs: List[_Run] = []
@@ -289,13 +294,16 @@ class Simulation:
         self._obs_u = np.empty((n, max(cfg.topology.access_rbs for cfg in configs)))
         for run in self.runs:
             run.sensing = self._obs_u[run.rows, :run.config.topology.access_rbs]
-        self._slot_blocks: List[np.ndarray] = []
-        if record_slots:
-            # the slot records' per-row columns; the pool index reads -1 in
-            # the silent bin that sleepers point at
+        if slot_sink is not None:
+            # one period's slot records, by slot and device row, refilled each
+            # period; the slot, slice and device columns never change.  The
+            # pool index reads -1 in the silent bin that sleepers point at
+            k_slots = self._shared.timebase.slots_per_period
+            self._records = np.empty((k_slots, n), dtype=SLOT_RECORD)
+            self._records["slot"] = np.arange(k_slots)[:, None]
+            self._records["slice"] = np.array([s.slice_id for s in slices])[self.device_slice]
             self._rows = np.arange(n)
-            self._device_ids = self._rows - np.repeat(self._row_bounds[:-1], run_devices)
-            self._device_slice_ids = np.array([s.slice_id for s in slices])[self.device_slice]
+            self._records["device"] = self._rows - np.repeat(self._row_bounds[:-1], run_devices)
             self._rb_global = np.concatenate(
                 [np.arange(c.topology.access_rbs) for c in configs] + [[-1]])
 
@@ -375,7 +383,7 @@ class Simulation:
         slice_rates = np.bincount(self.device_slice, weights=rates,
                                   minlength=self.n_slices)
 
-        if self.record_slots:
+        if self._slot_sink is not None:
             self._record(slot, actions, rb, rates, saw_idle)
         return {"rates": rates, "slice_rates": slice_rates, "actions": actions}
 
@@ -430,12 +438,9 @@ class Simulation:
         return saw_idle
 
     def _record(self, slot, actions, rb, rates, saw_idle):
-        """Append the slot's block of SLOT_RECORDs, one per device row."""
-        block = np.empty(self.n_devices, dtype=SLOT_RECORD)
+        """Fill the slot's row of the period's records, one per device row."""
+        block = self._records[slot]
         block["period"] = self.period_index
-        block["slot"] = slot
-        block["slice"] = self._device_slice_ids
-        block["device"] = self._device_ids
         block["action"] = actions
         # sleepers point at the silent bin past the pool, which reads -1
         block["rb_global"] = self._rb_global[rb]
@@ -443,7 +448,6 @@ class Simulation:
         heard = np.where(saw_idle[self._rows, actions - 1], IDLE, BUSY)
         block["observation"] = np.where(actions > 0, heard, -1)
         block["rate"] = rates
-        self._slot_blocks.append(block)
 
     def _rebuild_beliefs(self) -> None:
         """Lay out per-device beliefs for the current allocation.
@@ -550,29 +554,32 @@ class Simulation:
         return rows
 
     def run(self) -> BatchSummary:
+        """Every period of every run; after each period, the slot sink, if
+        any, gets each run's records of it, run after run."""
         for _ in range(self._shared.timebase.periods):
             self.run_period()
-        # one (slots, devices) array of every slot's records, if recorded
-        records = np.stack(self._slot_blocks) if self.record_slots else None
+            if self._slot_sink is not None:
+                for i, run in enumerate(self.runs):
+                    self._slot_sink(i, self._records[:, run.rows].reshape(-1))
         return BatchSummary([RunSummary(
             seed=run.config.seed,
             mean_discounted_reward=float(np.mean(run.period_mean_rewards)),
             final_max_abs_gap=float(np.max(np.abs(run.final_gap))),
-            period_rows=run.period_rows,
-            slot_records=None if records is None else records[:, run.rows].reshape(-1))
+            period_rows=run.period_rows)
             for run in self.runs])
 
 
-def run_simulation(config: ScenarioConfig, record_slots: bool = False) -> RunSummary:
+def run_simulation(config: ScenarioConfig,
+                   slot_sink: Optional[SlotSink] = None) -> RunSummary:
     """One run: the batch of one."""
-    return Simulation([config], record_slots=record_slots).run().runs[0]
+    return Simulation([config], slot_sink=slot_sink).run().runs[0]
 
 
 def run_batch(configs: Sequence[ScenarioConfig],
-              record_slots: bool = False) -> List[RunSummary]:
+              slot_sink: Optional[SlotSink] = None) -> List[RunSummary]:
     """Runs that share BATCH_SHARED, through one slot loop; each equals its
     run_simulation bit for bit."""
-    return Simulation(configs, record_slots=record_slots).run().runs
+    return Simulation(configs, slot_sink=slot_sink).run().runs
 
 
 # ---------------------------------------------------------------------------

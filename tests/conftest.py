@@ -1,10 +1,13 @@
 """Shared scenario builders for the test suite."""
 
 import dataclasses
+from collections import defaultdict
+
+import numpy as np
 
 from m2msim.channel import CellTopology, RadioParams, RbMarkov, Timebase
 from m2msim.controller import ControllerParams
-from m2msim.engine import ScenarioConfig
+from m2msim.engine import ScenarioConfig, run_batch, run_simulation
 from m2msim.pomdp import ObservationModel
 from m2msim.slicing import VirtualNetwork
 
@@ -45,3 +48,24 @@ def tiny_config(**overrides) -> ScenarioConfig:
 
 def paired(cfg: ScenarioConfig, **overrides) -> ScenarioConfig:
     return dataclasses.replace(cfg, **overrides)
+
+
+def _keeper():
+    """A slot sink that copies each period's records, by run, and a function
+    giving run i's whole run of them, by period, slot and device."""
+    periods = defaultdict(list)
+    return (lambda i, records: periods[i].append(records.copy()),
+            lambda i: np.concatenate(periods[i]))
+
+
+def recorded_run(config):
+    """run_simulation with every slot record kept: (summary, records)."""
+    sink, records = _keeper()
+    return run_simulation(config, slot_sink=sink), records(0)
+
+
+def recorded_batch(configs):
+    """run_batch with every slot record kept: a (summary, records) per run."""
+    sink, records = _keeper()
+    return [(summary, records(i))
+            for i, summary in enumerate(run_batch(configs, slot_sink=sink))]

@@ -69,7 +69,7 @@ class TestRun:
             per_slice.setdefault(row[1], set()).add(row[col])
         assert all(len(values) == 1 for values in per_slice.values())
 
-    def test_slot_records_on_request(self, tmp_path):
+    def test_slots_csv_on_request(self, tmp_path):
         code = run_cli(["run", *SMALL, "--slots", "--out", str(tmp_path)])
         assert code == cli.EXIT_OK
         header, rows = read_csv(tmp_path / "slots.csv")
@@ -79,6 +79,22 @@ class TestRun:
         assert actions <= set(range(0, 11))
         rate, reward = cli.SLOT_HEADER.index("rate"), cli.SLOT_HEADER.index("reward")
         assert all(r[reward] == r[rate] for r in rows)
+
+    def test_failed_run_leaves_no_slots_file(self, tmp_path, monkeypatch, capsys):
+        """Period 1's records are written before period 2 raises; the partial
+        file is removed and nothing else is left."""
+        run_period = engine.Simulation.run_period
+
+        def fail_in_period_2(sim):
+            if sim.period_index == 1:
+                raise RuntimeError("period 2 failed")
+            return run_period(sim)
+
+        monkeypatch.setattr(engine.Simulation, "run_period", fail_in_period_2)
+        code = run_cli(["run", *SMALL, "--slots", "--out", str(tmp_path)])
+        assert code == cli.EXIT_RUNTIME
+        assert "period 2 failed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_log_level_info_prints_the_trim_line(self, tmp_path, capsys):
         # two-slice asks for more RBs than the pool holds by period 3
@@ -152,7 +168,8 @@ def test_slot_writer_matches_csv_writer(tmp_path, size):
     sleepers["action"] = 0
     for name in ("rb_global", "rb_state", "observation"):
         sleepers[name] = -1
-    cli._write_slots(tmp_path / "fast.csv", records)
+    with cli._slots_csv(tmp_path / "fast.csv") as sink:
+        sink(0, records)
     _reference_slots(tmp_path / "reference.csv", records)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 

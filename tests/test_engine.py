@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import EXACT_SOLVER, PINNED_MARKOV, paired, small_radio, tiny_config
+from conftest import (EXACT_SOLVER, PINNED_MARKOV, paired, recorded_batch, recorded_run,
+                      small_radio, tiny_config)
 from m2msim import engine, pomdp
 from m2msim.channel import BUSY, IDLE, CellTopology, Timebase
 from m2msim.config import ConfigError, load_config
@@ -36,10 +38,9 @@ def test_uninformative_sensing_draws_the_random_arms_rbs():
                 VirtualNetwork(slice_id=2, devices=2, access_rbs=2,
                                data_rbs=0, weight=1.0)),
         obs=ObservationModel.symmetric(0.5), controller_enabled=True, seed=12)
-    informed = run_simulation(cfg, record_slots=True)
-    blind = run_simulation(paired(cfg, policy_mode="random"), record_slots=True)
-    assert np.array_equal(informed.slot_records["action"],
-                          blind.slot_records["action"])
+    _, informed = recorded_run(cfg)
+    _, blind = recorded_run(paired(cfg, policy_mode="random"))
+    assert np.array_equal(informed["action"], blind["action"])
 
 
 def _one_rb_slot(devices, **overrides):
@@ -52,7 +53,7 @@ def _one_rb_slot(devices, **overrides):
                                data_rbs=0, weight=1.0),),
         timebase=Timebase(slot_duration=1e-3, slots_per_period=1, periods=1),
         policy_mode="random", discount=1.0, seed=42, **overrides)
-    summary = run_simulation(cfg, record_slots=True)
+    _, records = recorded_run(cfg)
 
     seq = np.random.SeedSequence(42).spawn(5)
     state_rng, gain_rng, bg_rng = map(np.random.default_rng, seq[:3])
@@ -70,7 +71,6 @@ def _one_rb_slot(devices, **overrides):
         cfg.radio.bandwidth_per_rb
         * np.log2(1 + p * own[i] / (p * (own.sum() - own[i]) + extra + noise))
         for i in range(devices)]
-    records = summary.slot_records
     assert np.array_equal(records["device"], np.arange(devices))
     assert np.all(records["action"] == 1) and np.all(records["rb_state"] == state)
     return records, expected
@@ -105,19 +105,60 @@ def test_single_rb_budget_admits_no_choice():
 
 def test_repeated_runs_are_identical():
     cfg = tiny_config(controller_enabled=True, seed=5)
-    a, b = run_simulation(cfg, record_slots=True), run_simulation(cfg, record_slots=True)
+    (a, a_records), (b, b_records) = recorded_run(cfg), recorded_run(cfg)
     assert a.period_rows == b.period_rows
-    assert np.array_equal(a.slot_records, b.slot_records)
+    assert np.array_equal(a_records, b_records)
     assert a.mean_discounted_reward == b.mean_discounted_reward
 
 
-def test_slot_records_are_one_array_on_request():
-    cfg = tiny_config(seed=5)
-    assert run_simulation(cfg).slot_records is None
-    records = run_simulation(cfg, record_slots=True).slot_records
-    assert records.dtype == SLOT_RECORD
-    tb = cfg.timebase
-    assert records.size == tb.periods * tb.slots_per_period * cfg.topology.devices
+def test_the_sink_gets_each_period_of_each_run():
+    """One call per period and run, with that run's SLOT_RECORDs of the
+    period, by slot and device; here the runs differ in device count."""
+    four = tiny_config(
+        topology=CellTopology(total_rbs=2, access_rbs=2, data_rbs=0, devices=4),
+        slices=(VirtualNetwork(slice_id=1, devices=4, access_rbs=2,
+                               data_rbs=0, weight=1.0),),
+        seed=6)
+    configs = [tiny_config(seed=5), four]
+    calls = []
+
+    def sink(i, records):
+        calls.append((i, records.dtype, records.shape, records["period"].tolist(),
+                      records["slot"].tolist(), records["device"].tolist()))
+
+    run_batch(configs, slot_sink=sink)
+    tb = configs[0].timebase
+    want = []
+    for period in range(1, tb.periods + 1):
+        for i, cfg in enumerate(configs):
+            n = cfg.topology.devices
+            want.append((i, SLOT_RECORD, (tb.slots_per_period * n,),
+                         [period] * (tb.slots_per_period * n),
+                         np.repeat(np.arange(tb.slots_per_period), n).tolist(),
+                         list(range(n)) * tb.slots_per_period))
+    assert calls == want
+
+
+def test_a_recorded_runs_heap_does_not_grow_with_its_periods():
+    """With a sink that keeps nothing, a run holds one period of records at
+    most: its traced peak at 8 periods is its peak at 2 plus 256 KB at most.
+    The controller is off, so every period lays out the same arrays (with it
+    on, period 3's wider block raises any longer run's peak by 0.7 MB)."""
+    base = load_config("five-slice", ["topology.devices=500", "slices.0.devices=400",
+                                      *(f"slices.{i}.devices=25" for i in range(1, 5)),
+                                      "controller_enabled=false"])
+
+    def peak(periods):
+        cfg = paired(base, timebase=dataclasses.replace(base.timebase, periods=periods))
+        tracemalloc.start()
+        try:
+            run_simulation(cfg, slot_sink=lambda i, records: None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)     # fill the caches that outlive a run, such as the start terms
+    assert peak(8) <= peak(2) + 256 * 1024
 
 
 def test_policy_arms_share_channel_randomness():
@@ -180,11 +221,10 @@ def test_disabled_controller_freezes_allocation():
 def test_greedy_fast_path_matches_exact_planner():
     cfg = tiny_config(seed=11, solver_mode="auto")
     slow = paired(cfg, solver_mode="exact")
-    fast_summary = run_simulation(cfg, record_slots=True)
-    slow_summary = run_simulation(slow, record_slots=True)
+    fast_summary, fast_records = recorded_run(cfg)
+    slow_summary, slow_records = recorded_run(slow)
     fields = ["period", "slot", "device", "action"]
-    assert np.array_equal(fast_summary.slot_records[fields],
-                          slow_summary.slot_records[fields])
+    assert np.array_equal(fast_records[fields], slow_records[fields])
     assert fast_summary.mean_discounted_reward == slow_summary.mean_discounted_reward
 
 
@@ -229,12 +269,12 @@ def test_certified_auto_run_solves_nothing_and_matches_exact(monkeypatch):
                       timebase=Timebase(slot_duration=1e-3, slots_per_period=4,
                                         periods=3), seed=11)
     solved = _count_solves(monkeypatch)
-    auto = run_simulation(cfg, record_slots=True)
+    auto, auto_records = recorded_run(cfg)
     assert not solved
-    exact = run_simulation(paired(cfg, solver_mode="exact"), record_slots=True)
+    exact, exact_records = recorded_run(paired(cfg, solver_mode="exact"))
     assert solved == {2: 1}
     assert auto.period_rows == exact.period_rows
-    assert np.array_equal(auto.slot_records, exact.slot_records)
+    assert np.array_equal(auto_records, exact_records)
 
 
 def test_certified_wide_slices_need_no_grid(monkeypatch):
@@ -245,9 +285,9 @@ def test_certified_wide_slices_need_no_grid(monkeypatch):
                                     "observation.phi=0.2", "controller_enabled=false",
                                     "timebase.slots_per_period=8", "timebase.periods=2"])
     solved = _count_solves(monkeypatch)
-    summary = run_simulation(cfg, record_slots=True)
+    _, records = recorded_run(cfg)
     assert not solved
-    assert np.all(summary.slot_records["action"] > 0)
+    assert np.all(records["action"] > 0)
     with pytest.raises(pomdp.SolverCapError, match="101\\*\\*5"):
         run_simulation(paired(cfg, solver_mode="grid"))
 
@@ -275,8 +315,7 @@ def test_belief_carry_over_follows_pool_indices():
 
 def test_sleeping_devices_record_no_channel():
     cfg = tiny_config(discount=0.0, seed=8)  # zero weight on early slots
-    summary = run_simulation(cfg, record_slots=True)
-    records = summary.slot_records
+    _, records = recorded_run(cfg)
     early = records[records["slot"] < 2]
     assert early.size and np.all(early["action"] == 0)
     assert np.all((early["rb_global"] == -1) & (early["rb_state"] == -1)
@@ -323,15 +362,15 @@ def _assert_rows_are_single_runs(configs, monkeypatch):
         return totals(rewards, discount)
 
     monkeypatch.setattr(pomdp, "total_discounted_reward", one_run_at_a_time)
-    batch = run_batch(configs, record_slots=True)
+    batch = recorded_batch(configs)
     assert len(batch) == len(configs)
-    for cfg, got in zip(configs, batch):
-        want = run_simulation(cfg, record_slots=True)
+    for cfg, (got, got_records) in zip(configs, batch):
+        want, want_records = recorded_run(cfg)
         assert got.seed == want.seed == cfg.seed
         assert got.period_rows == want.period_rows
         assert got.mean_discounted_reward == want.mean_discounted_reward
         assert got.final_max_abs_gap == want.final_max_abs_gap
-        assert np.array_equal(got.slot_records, want.slot_records)
+        assert np.array_equal(got_records, want_records)
 
 
 @pytest.mark.parametrize("axis", sorted(SWEEP_AXES))
@@ -378,12 +417,12 @@ def test_batch_rows_equal_single_runs_with_a_solved_planner(monkeypatch):
 def test_draws_by_the_period_equal_draws_by_the_slot(monkeypatch):
     """The random streams give the same values drawn one slot at a time."""
     configs = _batch_of(load_config("five-slice", ["timebase.periods=2"]), "epsilon")
-    whole = run_batch(configs, record_slots=True)
+    whole = recorded_batch(configs)
     monkeypatch.setattr(engine, "_DRAW_BYTES", 1)
     assert Simulation(configs)._block_slots == 1
-    for got, want in zip(run_batch(configs, record_slots=True), whole):
+    for (got, got_records), (want, want_records) in zip(recorded_batch(configs), whole):
         assert got.period_rows == want.period_rows
-        assert np.array_equal(got.slot_records, want.slot_records)
+        assert np.array_equal(got_records, want_records)
 
 
 def test_a_batch_shares_its_slot_loop():
