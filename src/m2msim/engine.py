@@ -7,7 +7,7 @@ aggregated and (when enabled) the reallocation controller shifts RBs between
 slices and the data pool.
 
 Randomness is split into fixed-rate streams (occupancy, own gains, background
-gains, sensing noise, baseline action draws), each consuming the same number
+gains, sensing noise, access-rule draws), each consuming the same number
 of draws per slot regardless of policy or allocation.  Runs with equal seeds
 therefore share channel realisations across policy arms, which keeps paired
 comparisons tight, and a repeated run reproduces its output exactly.
@@ -169,9 +169,8 @@ def _planning_model(config: ScenarioConfig, width: int) -> PomdpModel:
                       sleep_sensing=config.sleep_sensing)
 
 
-# what the runs of a batch share: the slot loop's clock, the channel and the arm
-BATCH_SHARED = ("timebase", "markov", "radio", "policy_mode", "sleep_sensing",
-                "hard_collision")
+# what the runs of a batch share: the slot loop's clock and the channel
+BATCH_SHARED = ("timebase", "markov", "radio", "sleep_sensing", "hard_collision")
 # bytes of the RB-step, gain and policy draws made at a time: a period of
 # them for small batches, a slot at a time at 5000 devices
 _DRAW_BYTES = 1 << 17
@@ -273,6 +272,10 @@ class Simulation:
         self._trust_phi = _per_row([o.trusted_phi for o in obs], run_devices)
         self._unequal_noise = any(o.epsilon != o.phi for o in obs)
         self._row_bounds = [r.rows.start for r in self.runs] + [n]
+        # each row's arm by its POLICY_MODES index, 0 informed; None if all are informed
+        arms = [POLICY_MODES.index(cfg.policy_mode) for cfg in configs]
+        self._planned = [run for run, arm in zip(self.runs, arms) if arm == 0]
+        self._arms = np.repeat(arms, run_devices)[:, None] if any(arms) else None
 
         stationary = self._shared.markov.stationary_idle()
         self.rb_states = np.concatenate([
@@ -389,18 +392,15 @@ class Simulation:
 
     def _choose_actions(self, slot: int, policy_u: np.ndarray,
                         predicted: np.ndarray, idle_now: np.ndarray) -> np.ndarray:
-        if self._shared.policy_mode == "random":
-            return (policy_u * self._belief_widths).astype(int) + 1
-        if self._shared.policy_mode == "perfect":
-            # clairvoyant baseline: the slice access rule fed the slot's true
-            # occupancy (idle probability 1 or 0) in place of predicted beliefs;
-            # every device accesses.  Its shares maximise the rule's expected
-            # slice rate with the occupancy known: a ceiling in expectation,
-            # not for every draw
-            return self._access.draw(idle_now, policy_u)
-        # each run's planner decides sleep or access; the access rule picks the RB
+        """0 (sleep) or the RB the slice access rule draws, per device.  The
+        informed arm's planners decide sleep or access and the rule reads their
+        predicted beliefs.  The baselines always access; the random arm's rule
+        reads equal idle probabilities, the clairvoyant arm's the slot's true
+        occupancy, a ceiling in expectation, not for every draw."""
+        idle = (predicted if self._arms is None
+                else np.choose(self._arms, (predicted, 1.0, idle_now)))   # by POLICY_MODES
         access = None
-        for run in self.runs:
+        for run in self._planned:
             widest = self._policy(run, run.width)
             if isinstance(widest, pomdp.MyopicPolicy) and widest.all_access(slot):
                 continue
@@ -416,7 +416,7 @@ class Simulation:
                 rows = widths == width
                 mine[rows] = self._policy(run, width).act_batch(
                     beliefs[rows, :width], valid[rows, :width], slot) > 0
-        actions = self._access.draw(predicted, policy_u)
+        actions = self._access.draw(idle, policy_u)
         return actions if access is None else np.where(access, actions, 0)
 
     def _sense_and_update(self, actions: np.ndarray, obs_u: np.ndarray,
@@ -486,9 +486,8 @@ class Simulation:
         # discards
         self._belief_cols = np.minimum(offsets[:, None] + np.arange(width)[None, :],
                                        self._last_rb[:, None])
-        if self._shared.policy_mode != "random":
-            self._access = pomdp.SliceAccess(self._belief_mask, self._slice_sizes,
-                                             self._shared.radio, self._row_bounds)
+        self._access = pomdp.SliceAccess(self._belief_mask, self._slice_sizes,
+                                         self._shared.radio, self._row_bounds)
 
     # -- period dynamics ----------------------------------------------------
 

@@ -52,7 +52,8 @@ takes their exact argmax (lowest RB first; sleep only when the best rate is
 <= 0).  Exact and grid values do carry noise, so `_pick_action` counts
 values within a relative 1e-9 as tied and sleep wins.  The access rule has
 no ties to break: equal beliefs give the uniform distribution, and the RB
-is drawn from the device's own uniform, the same RB the random arm picks.
+is drawn from the device's own uniform; the random arm is this rule fed
+equal idle probabilities.
 
 `exhaustive_value` evaluates the optimum by direct expectimax over the full
 action/observation tree and is the reference the exact solver is checked
@@ -595,8 +596,8 @@ class SliceAccess:
 
     Shares are kept scaled so that a row sums to its width (uniform is
     exactly 1 per RB), and `draw` picks an RB by inverse CDF at
-    t = u * width; with uniform q this is the random arm's
-    int(u * width) + 1, bit for bit.  Solving every row to convergence
+    t = u * width; with uniform q, as the random arm's equal beliefs give,
+    this is int(u * width) + 1, bit for bit.  Solving every row to convergence
     made a slot 3.2 times as slow at 5000 devices, so `draw` solves only
     the rows whose pick the first step leaves in doubt.  Every row starts
     at the same point, so its first Newton step comes from per-layout
@@ -734,8 +735,8 @@ class SliceAccess:
         p = np.ascontiguousarray(np.asarray(idle, dtype=float).T)
         t = u * self._width
         if ((p == p[0]) | self._invalid).all():
-            # uniform q: the random arm's pick, as the zero first step would
-            # give; from flip rate 0.5 on every slot of a run lands here
+            # uniform q, as the zero first step would give: a batch of the
+            # random arm, or of the informed arm from flip rate 0.5, lands here
             return t.astype(int) + 1
         y, moved = self._first_step(p)
         rb, edges = self._pick(y, t, slice(None))

@@ -277,6 +277,17 @@ def test_certified_auto_run_solves_nothing_and_matches_exact(monkeypatch):
     assert np.array_equal(auto_records, exact_records)
 
 
+@pytest.mark.parametrize("mode", ["random", "perfect"])
+def test_baseline_arms_never_solve(mode, monkeypatch):
+    """Where access is not certified the informed arm solves its planners;
+    the baselines always access and solve nothing."""
+    cfg = load_config("two-slice", EXACT_SOLVER + ("policy.discount=0.5",
+                                                   f"policy.mode={mode}"))
+    solved = _count_solves(monkeypatch)
+    run_simulation(cfg)
+    assert not solved
+
+
 def test_certified_wide_slices_need_no_grid(monkeypatch):
     """two-slice at 5 RBs a slice with phi 0.2 once sent auto to a 101**5
     grid, past its cap; access is certified there, so the run completes
@@ -381,12 +392,18 @@ def test_batch_rows_equal_single_runs_along_each_axis(axis, monkeypatch):
     _assert_rows_are_single_runs(_batch_of(base, axis), monkeypatch)
 
 
-@pytest.mark.parametrize("mode", ["random", "perfect"])
-def test_batch_rows_equal_single_runs_for_each_arm(mode, monkeypatch):
-    """The baseline arms over mixed device counts; the clairvoyant arm's
-    access rule sees beliefs of 0 and 1, and so solves rows to convergence,
-    each run's at its own width."""
-    base = load_config("five-slice", ["timebase.periods=4", f"policy.mode={mode}"])
+def test_batch_rows_equal_single_runs_across_arms(monkeypatch):
+    """Every arm at mixed device counts in one batch, with an informed run at
+    flip rate 0.6, whose beliefs stay equal.  Alone, a random run takes the
+    access rule's uniform shortcut; in the batch its rows take the first
+    Newton step, and must draw the same RBs.  The clairvoyant arm's rule sees
+    beliefs of 0 and 1, and so solves rows to convergence, each run's at its
+    own width."""
+    base = load_config("five-slice", ["timebase.periods=4"])
+    configs = [paired(with_axis_value(base, "devices", devices), policy_mode=mode, seed=seed)
+               for seed, devices in enumerate(BATCH_VALUES["devices"], 1)
+               for mode in engine.POLICY_MODES]
+    configs.append(paired(with_axis_value(base, "epsilon", 0.6), seed=4))
     solved = []
     converge = pomdp.SliceAccess._converge
 
@@ -395,12 +412,15 @@ def test_batch_rows_equal_single_runs_for_each_arm(mode, monkeypatch):
         return converge(rule, p, y, moved, rows)
 
     monkeypatch.setattr(pomdp.SliceAccess, "_converge", recording)
-    _assert_rows_are_single_runs(_batch_of(base, "devices"), monkeypatch)
-    if mode == "perfect":
-        batched = [(runs, rows) for runs, rows in solved if len(runs) > 1]
-        assert batched
-        for runs, rows in batched:
-            assert any(run.start <= rows.min() and rows.max() < run.stop for run in runs)
+    _assert_rows_are_single_runs(configs, monkeypatch)
+    batched = [(runs, rows) for runs, rows in solved if len(runs) > 1]
+    assert batched
+    for runs, rows in batched:
+        assert any(run.start <= rows.min() and rows.max() < run.stop for run in runs)
+    # the clairvoyant runs' rows among them
+    clairvoyant = [run for run, cfg in zip(batched[0][0], configs)
+                   if cfg.policy_mode == "perfect"]
+    assert any(run.start <= rows.min() < run.stop for run in clairvoyant for _, rows in batched)
 
 
 def test_batch_rows_equal_single_runs_with_a_solved_planner(monkeypatch):
@@ -427,8 +447,6 @@ def test_draws_by_the_period_equal_draws_by_the_slot(monkeypatch):
 
 def test_a_batch_shares_its_slot_loop():
     cfg = tiny_config(seed=3)
-    with pytest.raises(ValueError, match="policy_mode"):
-        Simulation([cfg, paired(cfg, policy_mode="random")])
     with pytest.raises(ValueError, match="timebase"):
         Simulation([cfg, paired(cfg, timebase=Timebase(slot_duration=1e-3,
                                                        slots_per_period=4, periods=2))])

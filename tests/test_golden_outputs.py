@@ -12,6 +12,10 @@ The exact-solve and grid-solve digests were recorded before the greedy rule
 took over certified access.  They pin runs that really solve a planner: at
 the profile's discount the exact-solver case is certified and solves nothing.
 
+The five-slice perfect and random digests were recorded while the engine
+still kept its own copy of each baseline arm, before both became inputs of
+the slice access rule.
+
 The sweep digests pin `m2msim sweep`, whose runs share a batched slot loop:
 the benchmark's epsilon sweep, and a devices sweep with the controller on,
 so that the runs of one batch differ in size and their allocations diverge.
@@ -27,6 +31,10 @@ from m2msim import cli
 # the power in watts with a busy-source power, the random arm, hard collisions
 WATTS_RANDOM = ("radio.tx_power_dbm=null", "radio.tx_power=0.1",
                 "radio.busy_power=0.25", "policy.mode=random", "hard_collision=true")
+
+# the clairvoyant and random baseline arms
+PERFECT = ("policy.mode=perfect",)
+RANDOM = ("policy.mode=random",)
 
 # the exact-solver scenario where access is not certified, so each run really
 # solves: exact at two RBs a slice, grid at three
@@ -82,6 +90,16 @@ GOLDEN = {
         "5c95a18bb84eeb5135417345eece882f35f186d8c365ec35b1e4a30d0beb8303",
         "7203cd359211f1d5fe7f3a4da81e85c5177e2dda8480dcdd5bc6742828a1f6f8",
         "5fc4824e2550381550482ddb1e7c05181ae027087cafc06983f5a75b24cd69cb"),
+    # the two baseline arms: the access rule fed the slot's true occupancy,
+    # and fed equal idle probabilities
+    ("five-slice", 1, PERFECT): (
+        "fc8310715e77005124dd5677c5f5f9886e6a716ed8b168163c72359099a30e3a",
+        "82429cac36a89d64761ab4cbda07f73f65bcd1e3bed0cc821a46158320e0f687",
+        "f71c2ae26387bd9842104d37017674d26ccc4613c38cb5743dc5af5fd318783c"),
+    ("five-slice", 1, RANDOM): (
+        "a592c4b6475073976045b46bc9c94a698e763046fa688300ecffb35c3f756d8b",
+        "e21a1af6afaed5300bf8235ae574d8a9f9f87b80674b572fe8b71d755eab20b6",
+        "a86d3c26d03501f82998569ecc87eb3121bb4933e3427350d665ec2edaec198b"),
     # the run id in summary.csv hashes the serialized scenario, so this pins
     # the watts power form, busy_power and the top-level flags as written
     ("two-slice", 1, WATTS_RANDOM): (
@@ -98,7 +116,7 @@ def _sha256(path) -> str:
 def _case_id(case) -> str:
     profile, seed, overrides = case
     names = {EXACT_SOLVER: ["exact-solver"], EXACT_SOLVE: ["exact-solve"],
-             GRID_SOLVE: ["grid-solve"],
+             GRID_SOLVE: ["grid-solve"], PERFECT: ["perfect"], RANDOM: ["random"],
              WATTS_RANDOM: ["watts-random"]}.get(overrides, overrides)
     return "-".join([profile, str(seed), *names])
 
