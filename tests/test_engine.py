@@ -392,6 +392,28 @@ def test_batch_rows_equal_single_runs_along_each_axis(axis, monkeypatch):
     _assert_rows_are_single_runs(_batch_of(base, axis), monkeypatch)
 
 
+@pytest.mark.parametrize("mode", ["random", "perfect"])
+def test_batch_rows_equal_single_runs_for_each_arm(mode, monkeypatch):
+    """The baseline arms over mixed device counts; the clairvoyant arm's
+    access rule sees beliefs of 0 and 1, and so solves rows to convergence,
+    each run's at its own width."""
+    base = load_config("five-slice", ["timebase.periods=4", f"policy.mode={mode}"])
+    solved = []
+    converge = pomdp.SliceAccess._converge
+
+    def recording(rule, p, y, moved, rows):
+        solved.append((rule._runs, np.asarray(rows)))
+        return converge(rule, p, y, moved, rows)
+
+    monkeypatch.setattr(pomdp.SliceAccess, "_converge", recording)
+    _assert_rows_are_single_runs(_batch_of(base, "devices"), monkeypatch)
+    if mode == "perfect":
+        batched = [(runs, rows) for runs, rows in solved if len(runs) > 1]
+        assert batched
+        for runs, rows in batched:
+            assert any(run.start <= rows.min() and rows.max() < run.stop for run in runs)
+
+
 def test_batch_rows_equal_single_runs_across_arms(monkeypatch):
     """Every arm at mixed device counts in one batch, with an informed run at
     flip rate 0.6, whose beliefs stay equal.  Alone, a random run takes the
