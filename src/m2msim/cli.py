@@ -18,6 +18,7 @@ import hashlib
 import io
 import itertools
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -147,6 +148,11 @@ def cmd_run(args) -> int:
 
 # -- sweep ----------------------------------------------------------------------
 
+def _require_finite(numbers: Iterable[float], text: str) -> None:
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigError("values", f"sweep values must be finite, got {text!r}")
+
+
 def _parse_values(axis: str, text: str) -> List[float]:
     text = text.strip()
     if ".." in text:
@@ -158,6 +164,7 @@ def _parse_values(axis: str, text: str) -> List[float]:
         except ValueError:
             raise ConfigError("values",
                               f"bad range {text!r}; use start..stop:step") from None
+        _require_finite((lo, hi, step), text)
         if step <= 0 or hi < lo:
             raise ConfigError("values", f"empty range {text!r}")
         count = int(round((hi - lo) / step))
@@ -169,6 +176,7 @@ def _parse_values(axis: str, text: str) -> List[float]:
         except ValueError:
             raise ConfigError("values",
                               f"bad value list {text!r}; use v1,v2,...") from None
+        _require_finite(values, text)
     if not values:
         raise ConfigError("values", "no sweep values given")
     if axis in ("rbs", "devices"):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import difflib
+import math
 from importlib import resources
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
@@ -26,6 +27,13 @@ from .controller import ControllerParams
 from .engine import ConfigError, ScenarioConfig
 from .pomdp import ObservationModel
 from .slicing import VirtualNetwork
+
+# libyaml's safe C classes where PyYAML was built with them: they read and
+# write the same documents as the pure-Python SafeLoader and SafeDumper,
+# several times faster.  Only the safe classes: the unsafe C loader would
+# run code that a scenario file names in a !!python/ tag.
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 class _Kind(NamedTuple):
@@ -83,6 +91,8 @@ def _value(raw: Any, kind: _Kind, path: str) -> Any:
     if not isinstance(raw, kind.types) or (isinstance(raw, bool) and kind is not BOOLEAN):
         raise ConfigError(path, f"expected {kind.name}, got {raw!r}")
     value = float(raw) if float in kind.types else raw
+    if float in kind.types and not math.isfinite(value):
+        raise ConfigError(path, f"must be a finite number, got {value}")
     if kind.unit and not 0.0 <= value <= 1.0:
         raise ConfigError(path, f"must lie in [0, 1], got {value}")
     return value
@@ -184,7 +194,7 @@ def to_document(cfg: ScenarioConfig) -> Dict[str, Any]:
 
 
 def serialize(cfg: ScenarioConfig) -> str:
-    return yaml.safe_dump(to_document(cfg), sort_keys=False)
+    return yaml.dump(to_document(cfg), Dumper=_Dumper, sort_keys=False)
 
 
 # -- overrides ----------------------------------------------------------------
@@ -202,7 +212,7 @@ def apply_overrides(doc: Mapping, overrides: Sequence[str]) -> Dict[str, Any]:
         if not sep or not key:
             raise ConfigError("", f"override {item!r} must look like key.path=value")
         try:
-            value = yaml.safe_load(raw) if raw.strip() else ""
+            value = yaml.load(raw, Loader=_Loader) if raw.strip() else ""
         except yaml.YAMLError:
             value = raw
         _set_path(out, key.split("."), value, key)
@@ -263,7 +273,7 @@ def load_config(source: Union[str, Path], overrides: Sequence[str] = (),
                 seed: Optional[int] = None) -> ScenarioConfig:
     """Load a scenario from a file path or shipped profile name."""
     try:
-        doc = yaml.safe_load(read_source(source))
+        doc = yaml.load(read_source(source), Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError("", f"not parseable as YAML: {exc}") from exc
     if not isinstance(doc, Mapping):

@@ -138,6 +138,26 @@ class TestRun:
         assert "policy.solver" in capsys.readouterr().err
         assert not (tmp_path / "periods.csv").exists()
 
+    def test_python_tags_in_a_scenario_file_run_nothing(self, tmp_path, capsys):
+        """A scenario file is outside input: its !!python/ tags are refused,
+        never constructed, so the call it names does not happen."""
+        made = tmp_path / "made-by-the-scenario"
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(f"seed: !!python/object/apply:os.mkdir [{str(made)!r}]\n")
+        code = run_cli(["run", "--config", str(scenario), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "config error: not parseable as YAML" in capsys.readouterr().err
+        assert not made.exists()
+
+    def test_malformed_scenario_file_names_line_and_column(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text("a: [1, 2\nb: 3\n")
+        code = run_cli(["run", "--config", str(scenario), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: not parseable as YAML" in err
+        assert "line 2, column 2" in err
+
     def test_unknown_profile_lists_the_shipped_ones(self, tmp_path, capsys):
         code = run_cli(["run", "--config", "missing-profile",
                         "--out", str(tmp_path)])
@@ -235,6 +255,16 @@ class TestSweep:
                             "--seeds", "2", "--out", str(tmp_path)])
             assert code == cli.EXIT_CONFIG, (axis, value)
             assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis,values", [
+        ("rbs", "inf"), ("rbs", "nan"), ("mu", "inf"), ("epsilon", "0.1,nan"),
+        ("mu", "1..inf:1")])
+    def test_non_finite_values_are_refused(self, tmp_path, capsys, axis, values):
+        code = run_cli(["sweep", *SMALL, "--axis", axis, "--values", values,
+                        "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "config error: values: sweep values must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestVerify:

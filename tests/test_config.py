@@ -1,3 +1,4 @@
+import math
 import tempfile
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from m2msim.channel import dbm_to_watts
-from m2msim.config import (ConfigError, apply_overrides, build_config,
+from m2msim.config import (ConfigError, _Loader, apply_overrides, build_config,
                            list_profiles, load_config, read_source, serialize,
                            to_document)
 from m2msim.engine import POLICY_MODES, SOLVER_MODES
@@ -28,6 +29,27 @@ REFUSALS = [
     ("slices.0.weight=0.5", "slices"),          # weights must not increase
     ("observation.phi=0.3", "observation.phi"),  # force_equal_noise is on
     ("observation.phi=null", "observation.phi"),  # null is not "absent"
+    # non-finite numbers of every number kind
+    ("controller.mu=.nan", "controller.mu"),
+    ("controller.mu=.inf", "controller.mu"),
+    ("timebase.slot_duration=.nan", "timebase.slot_duration"),
+    ("slices.0.weight=.nan", "slices.0.weight"),
+    ("slices.0.weight=.inf", "slices.0.weight"),
+    ("radio.bandwidth_per_rb=.inf", "radio.bandwidth_per_rb"),
+    ("radio.noise_power=.nan", "radio.noise_power"),
+    ("radio.tx_power_dbm=-.inf", "radio.tx_power_dbm"),
+    ("observation.epsilon=.nan", "observation.epsilon"),
+]
+
+# --set scalar forms: each must come out typed as the pure-Python safe loader
+# types it (a form neither loader parses stays the raw string)
+SCALAR_FORMS = [
+    "true", "false", "True", "FALSE", "yes", "no", "on", "off", "y", "n",
+    "null", "~", "Null", "0", "-7", "+12", "0x1F", "0o17", "017", "0b101",
+    "1_000", "190:20:30", "1.5", "-0.0", "1e-05", "1.0e+3", "1e3",
+    ".inf", "-.inf", ".Inf", ".nan", ".NaN", "2001-12-14",
+    "2001-12-14t21:59:43.10-05:00", "'quoted'", '"0.5"', "[1, 2]", "{a: 1}",
+    "pomdp", "1.5 # note", "%x",
 ]
 
 
@@ -120,9 +142,12 @@ class TestRoundTrip:
         cfg = load_config(profile, overrides)
 
         assert build_config(to_document(cfg)) == cfg
+        text = serialize(cfg)
+        assert text == yaml.safe_dump(to_document(cfg), sort_keys=False)
+        assert yaml.load(text, Loader=_Loader) == yaml.safe_load(text)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "dump.yaml"
-            path.write_text(serialize(cfg))
+            path.write_text(text)
             assert load_config(path) == cfg
 
 
@@ -234,6 +259,19 @@ class TestOverrides:
         out = apply_overrides(doc, ["observatio.epsilon=0.2"])
         with pytest.raises(ConfigError, match="observatio"):
             build_config(out)
+
+    @pytest.mark.parametrize("form", SCALAR_FORMS)
+    def test_scalars_typed_as_the_safe_loader_types_them(self, doc, form):
+        try:
+            expected = yaml.safe_load(form)
+        except yaml.YAMLError:
+            expected = form
+        value = apply_overrides(doc, [f"seed={form}"])["seed"]
+        assert type(value) is type(expected)
+        if isinstance(expected, float) and math.isnan(expected):
+            assert math.isnan(value)
+        else:
+            assert value == expected
 
     def test_seed_argument_wins(self):
         cfg = load_config("five-slice", ["seed=3"], seed=12)
