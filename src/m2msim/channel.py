@@ -32,7 +32,7 @@ class Timebase:
     periods: int
 
     def __post_init__(self):
-        if self.slot_duration <= 0:
+        if not 0.0 < self.slot_duration < np.inf:
             raise ValueError("slot_duration must be positive")
         if self.slots_per_period < 1:
             raise ValueError("slots_per_period must be >= 1")
@@ -94,13 +94,13 @@ class RadioParams:
     busy_power: Optional[float] = None
 
     def __post_init__(self):
-        if self.bandwidth_per_rb <= 0:
+        if not 0.0 < self.bandwidth_per_rb < np.inf:
             raise ValueError("bandwidth_per_rb must be positive")
-        if self.tx_power < 0:
+        if not 0.0 <= self.tx_power < np.inf:
             raise ValueError("tx_power must be non-negative")
-        if self.noise_power <= 0:
+        if not 0.0 < self.noise_power < np.inf:
             raise ValueError("noise_power must be positive")
-        if self.busy_power is not None and self.busy_power < 0:
+        if self.busy_power is not None and not 0.0 <= self.busy_power < np.inf:
             raise ValueError("busy_power must be non-negative")
 
     @property

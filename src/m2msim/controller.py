@@ -30,7 +30,7 @@ class ControllerParams:
     def __post_init__(self):
         if not 0.0 < self.omega < 1.0:
             raise ValueError("omega must lie strictly inside (0, 1)")
-        if self.mu <= 0:
+        if not 0.0 < self.mu < np.inf:
             raise ValueError("mu must be positive")
 
 
@@ -96,14 +96,6 @@ def _largest_remainder(caps: np.ndarray, total: int) -> np.ndarray:
         if out[i] < caps[i]:
             out[i] += 1
             remainder -= 1
-    # extremely skewed shares can exhaust the ordering once; sweep again
-    for i in order:
-        if remainder == 0:
-            break
-        room = caps[i] - out[i]
-        take = min(room, remainder)
-        out[i] += take
-        remainder -= take
     return out
 
 

@@ -773,17 +773,13 @@ def _state_bits(n_rbs: int) -> np.ndarray:
     return np.array([(idx >> (n_rbs - 1 - r)) & 1 for r in range(n_rbs)]).T
 
 
-_PROBE_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _probes(n_states: int) -> np.ndarray:
-    if n_states not in _PROBE_CACHE:
-        rng = np.random.default_rng(97 + n_states)
-        pts = rng.dirichlet(np.ones(n_states), size=512)
-        corners = np.eye(n_states)
-        centre = np.full((1, n_states), 1.0 / n_states)
-        _PROBE_CACHE[n_states] = np.vstack([corners, centre, pts])
-    return _PROBE_CACHE[n_states]
+    rng = np.random.default_rng(97 + n_states)
+    pts = rng.dirichlet(np.ones(n_states), size=512)
+    corners = np.eye(n_states)
+    centre = np.full((1, n_states), 1.0 / n_states)
+    return np.vstack([corners, centre, pts])
 
 
 def _dedupe(vectors: np.ndarray) -> np.ndarray:
@@ -792,48 +788,6 @@ def _dedupe(vectors: np.ndarray) -> np.ndarray:
     _, keep = np.unique(keys, axis=0, return_index=True)
     return vectors[np.sort(keep)]
 
-def _prune_lines(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Exact upper envelope for the 2-state case (no LPs needed).
-
-    At belief (t, 1-t) a vector is the line t*v0 + (1-t)*v1; the classic
-    increasing-slope hull scan finds the envelope, then lines whose winning
-    interval misses [0, 1] are dropped.
-    """
-    vecs = _dedupe(vectors)
-    if len(vecs) <= 1:
-        return vecs
-    slope = vecs[:, 0] - vecs[:, 1]
-    inter = vecs[:, 1]
-    order = np.lexsort((inter, slope))
-    lines: List[int] = []
-    for i in order:
-        if lines and abs(slope[i] - slope[lines[-1]]) <= 1e-13 * max(1.0, abs(slope[i])):
-            lines[-1] = i  # parallel: ascending sort means i has the higher intercept
-        else:
-            lines.append(i)
-    hull: List[int] = []
-    lefts: List[float] = []
-    for i in lines:
-        while hull:
-            j = hull[-1]
-            x = (inter[i] - inter[j]) / (slope[j] - slope[i])
-            if x <= lefts[-1] + 1e-15:
-                hull.pop()
-                lefts.pop()
-                continue
-            break
-        if hull:
-            lefts.append((inter[i] - inter[hull[-1]]) / (slope[hull[-1]] - slope[i]))
-        else:
-            lefts.append(-np.inf)
-        hull.append(i)
-    keep = []
-    for m, i in enumerate(hull):
-        right = lefts[m + 1] if m + 1 < len(hull) else np.inf
-        if right >= -tol and lefts[m] <= 1.0 + tol:
-            keep.append(i)
-    return vecs[sorted(keep)]
-
 
 _ALPHA_CAP = 200_000       # candidate alpha vectors one prune takes
 
@@ -841,9 +795,10 @@ _ALPHA_CAP = 200_000       # candidate alpha vectors one prune takes
 def _prune(vectors: np.ndarray, tol: float = 1e-11) -> np.ndarray:
     """Keep a subset whose pointwise max over the simplex matches the input.
 
-    Dedupe, then certify winners on a fixed probe set, discard vectors
-    pointwise-dominated by a certified winner, and settle the remainder with
-    the standard witness-point linear program.
+    One algorithm for every joint-state size: dedupe, then certify winners
+    on a fixed probe set, discard vectors pointwise-dominated by a certified
+    winner, and settle the remainder with the standard witness-point linear
+    program.
     """
     vecs = _dedupe(np.asarray(vectors, dtype=float))
     n, s = vecs.shape
@@ -852,17 +807,15 @@ def _prune(vectors: np.ndarray, tol: float = 1e-11) -> np.ndarray:
             f"{n} candidate alpha vectors exceed the cap {_ALPHA_CAP}; use grid mode")
     if n <= 1:
         return vecs
-    if s == 2:
-        return _prune_lines(vecs)
 
     scores = vecs @ _probes(s).T
     top = np.max(scores, axis=0)
+    tied = scores >= top - 1e-13 * np.maximum(1.0, np.abs(top))
+    # each probe's winner is the lexicographically largest of its tied rows,
+    # for determinism; after _dedupe no two rows are equal
+    order = np.lexsort(vecs.T[::-1])[::-1]
     winner_mask = np.zeros(n, dtype=bool)
-    for col in range(scores.shape[1]):
-        cands = np.flatnonzero(scores[:, col] >= top[col] - 1e-13 * max(1.0, abs(top[col])))
-        # lexicographically largest of the tied vectors, for determinism
-        best = max(cands, key=lambda i: tuple(vecs[i]))
-        winner_mask[best] = True
+    winner_mask[order[np.argmax(tied[order], axis=0)]] = True
     kept = vecs[winner_mask]
 
     rest = vecs[~winner_mask]

@@ -30,7 +30,7 @@ class VirtualNetwork:
             raise ValueError("a slice needs at least one access RB")
         if self.data_rbs < 0:
             raise ValueError("data_rbs must be >= 0")
-        if self.weight <= 0:
+        if not 0.0 < self.weight < np.inf:
             raise ValueError("weight must be positive")
 
 

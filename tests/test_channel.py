@@ -91,6 +91,12 @@ class TestRadio:
         with pytest.raises(ValueError, match="busy_power"):
             RadioParams(bandwidth_per_rb=1e6, tx_power=0.1, noise_power=0.01,
                         busy_power=-1.0)
+        good = dict(bandwidth_per_rb=1e6, tx_power=0.1, noise_power=0.01,
+                    busy_power=0.1)
+        for key in good:
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=key):
+                    RadioParams(**{**good, key: bad})
 
 
 class TestTimebase:
@@ -103,6 +109,9 @@ class TestTimebase:
             Timebase(slot_duration=0.0, slots_per_period=20, periods=30)
         with pytest.raises(ValueError):
             Timebase(slot_duration=1e-3, slots_per_period=0, periods=30)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="slot_duration"):
+                Timebase(slot_duration=bad, slots_per_period=20, periods=30)
 
 
 class TestTopology:

@@ -17,8 +17,9 @@ class TestParams:
                 ControllerParams(omega=bad, mu=2.0)
 
     def test_mu_positive(self):
-        with pytest.raises(ValueError):
-            ControllerParams(omega=0.8, mu=0.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ControllerParams(omega=0.8, mu=bad)
 
 
 class TestSmoothing:

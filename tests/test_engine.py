@@ -564,6 +564,15 @@ class TestSweeps:
         assert v.slices[0].devices == 8 and v.slices[1].devices == 4
         tiny = with_axis_value(self.base, "devices", 2)
         assert all(s.devices == 1 for s in tiny.slices)
+        # uneven splits: the largest remainders take the leftover devices,
+        # and where the floor of 1 overshoots the smallest remainders give back
+        five = load_config("five-slice")
+        for base, total, counts in ((self.base, 5, (3, 2)), (self.base, 7, (5, 2)),
+                                    (five, 7, (3, 1, 1, 1, 1)),
+                                    (five, 53, (32, 6, 5, 5, 5))):
+            v = with_axis_value(base, "devices", total)
+            assert tuple(s.devices for s in v.slices) == counts
+            assert v.topology.devices == total
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):

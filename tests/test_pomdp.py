@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from conftest import PINNED_MARKOV, small_radio
 from m2msim import cli, pomdp
@@ -602,6 +603,47 @@ class TestSolvers:
             [[0.0], belief_propagate(b, model.markov) * model.rate_idle
              + (1 - belief_propagate(b, model.markov)) * model.rate_busy]))
         assert policy.value(b) == pytest.approx(expected, abs=1e-12)
+
+
+def _tangents(points: np.ndarray, centre: np.ndarray) -> np.ndarray:
+    """Alpha vectors of the tangent planes of |x - centre|**2 at `points`:
+    on the simplex (sum x = 1) row i dotted with x is the plane at points[i]."""
+    grad = 2.0 * (points - centre)
+    offset = np.sum((points - centre) ** 2, axis=1) - np.sum(grad * points, axis=1)
+    return grad + offset[:, None]
+
+
+def _envelope(rows: np.ndarray, beliefs: np.ndarray) -> np.ndarray:
+    return np.concatenate([np.max(chunk @ rows.T, axis=1)
+                           for chunk in np.array_split(beliefs, 20)])
+
+
+@pytest.mark.parametrize("s", [2, 4])
+def test_prune_keeps_the_envelope_through_the_witness_lp(s):
+    """Tangents of a strictly convex function each win alone at their own
+    touch point.  One touches at every probe, so each probe certifies its
+    own; three touch in the widest gap between the probes, so no probe
+    certifies them and only the witness LP can keep them.  With three, one
+    pending vector beats another at its witness and is promoted."""
+    rng = np.random.default_rng(17)
+    probes = pomdp._probes(s)
+    candidates = rng.dirichlet(np.ones(s), size=5_000)
+    dist = cdist(candidates, probes).min(axis=1)
+    far = candidates[np.argmax(dist)]
+    # the other two gap points step half the gap radius from the farthest
+    # one, towards its nearest corner and towards the simplex centre
+    gap = [far]
+    for target in (np.eye(s)[np.argmax(far)], np.full(s, 1.0 / s)):
+        step = target - far
+        gap.append(far + 0.5 * dist.max() * step / np.linalg.norm(step))
+    rows = _tangents(np.vstack([probes, gap]), centre=np.linspace(0.1, 0.3, s))
+    kept = pomdp._prune(rows)
+    as_sets = lambda a: {tuple(r) for r in a}
+    assert as_sets(kept) <= as_sets(rows)
+    assert as_sets(rows[-3:]) <= as_sets(kept)
+    beliefs = np.vstack([probes, rng.dirichlet(np.ones(s), size=100_000)])
+    np.testing.assert_allclose(_envelope(kept, beliefs), _envelope(rows, beliefs),
+                               rtol=1e-13, atol=0.0)
 
 
 def _mesh(n_rbs: int, points: int) -> np.ndarray:

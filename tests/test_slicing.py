@@ -15,6 +15,10 @@ class TestVirtualNetwork:
         with pytest.raises(ValueError, match="weight"):
             VirtualNetwork(slice_id=1, devices=5, access_rbs=5, data_rbs=0,
                            weight=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="weight"):
+                VirtualNetwork(slice_id=1, devices=5, access_rbs=5, data_rbs=0,
+                               weight=bad)
         with pytest.raises(ValueError, match="access"):
             VirtualNetwork(slice_id=1, devices=5, access_rbs=0, data_rbs=0,
                            weight=1.0)
