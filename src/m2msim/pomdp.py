@@ -859,7 +859,7 @@ def _prune(vectors: np.ndarray, tol: float = 1e-11) -> np.ndarray:
             pending.insert(0, v)
         else:
             kept_list.append(v)
-    return _dedupe(np.array(kept_list))
+    return np.array(kept_list)   # rows of the deduplicated vecs: distinct
 
 
 def _cross_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:

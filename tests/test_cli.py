@@ -1,6 +1,7 @@
 """End-to-end command tests driven through cli.main with in-process argv."""
 
 import csv
+import functools
 import os
 import subprocess
 import sys
@@ -158,6 +159,19 @@ class TestRun:
         assert "config error: not parseable as YAML" in err
         assert "line 2, column 2" in err
 
+    def test_a_second_call_keeps_no_option_of_the_first(self, tmp_path):
+        """main reuses one parser: a --set of one call is not in the next,
+        which writes what the same command writes in a fresh process."""
+        assert run_cli(["run", *SMALL, "--set", "controller_enabled=false",
+                        "--out", str(tmp_path / "first")]) == cli.EXIT_OK
+        argv = ["run", "--config", "two-slice", "--set", "timebase.periods=3", "--seed", "3"]
+        assert run_cli([*argv, "--out", str(tmp_path / "second")]) == cli.EXIT_OK
+        env = dict(os.environ, PYTHONPATH=str(Path(m2msim.__file__).parents[1]))
+        subprocess.run([sys.executable, "-m", "m2msim", *argv, "--out", str(tmp_path / "alone")],
+                       env=env, check=True, capture_output=True)
+        assert ((tmp_path / "second" / "summary.csv").read_bytes()
+                == (tmp_path / "alone" / "summary.csv").read_bytes())
+
     def test_unknown_profile_lists_the_shipped_ones(self, tmp_path, capsys):
         code = run_cli(["run", "--config", "missing-profile",
                         "--out", str(tmp_path)])
@@ -175,8 +189,8 @@ def _reference_slots(path, records):
             writer.writerow([*fields, format(rate, ".9g"), format(rate, ".9g")])
 
 
-@pytest.mark.parametrize("size", [0, 1, cli.SLOT_BLOCK, cli.SLOT_BLOCK + 1])
-def test_slot_writer_matches_csv_writer(tmp_path, size):
+def _random_calls(size):
+    """One sink call of `size` records of random ints below 10**6."""
     rng = np.random.default_rng(size)
     records = np.zeros(size, dtype=engine.SLOT_RECORD)
     for name in engine.SLOT_RECORD.names[:-1]:
@@ -188,9 +202,63 @@ def test_slot_writer_matches_csv_writer(tmp_path, size):
     sleepers["action"] = 0
     for name in ("rb_global", "rb_state", "observation"):
         sleepers[name] = -1
+    return [records]
+
+
+def _engine_calls(devices, pool, first=None, periods=1, slots=3, asleep=0.3, seed=0):
+    """Sink calls laid out as `Simulation` lays them out: one a period, by
+    slot then device, with fixed slot, slice and device columns.  Slice 0
+    holds the `first` devices and half the pool's RBs, slice 1 the rest; a
+    device sleeps with probability `asleep`."""
+    rng = np.random.default_rng(seed)
+    first = devices // 2 if first is None else first
+    slice_of = np.repeat([0, 1], [first, devices - first])
+    width = np.array([pool // 2, pool - pool // 2])[slice_of]
+    offset = np.array([0, pool // 2])[slice_of]
+    calls = []
+    for period in range(periods):
+        records = np.zeros((slots, devices), dtype=engine.SLOT_RECORD)
+        records["period"] = period
+        records["slot"] = np.arange(slots)[:, None]
+        records["slice"] = slice_of
+        records["device"] = np.arange(devices)
+        shape = records.shape
+        action = np.where(rng.random(shape) < asleep, 0,
+                          rng.integers(1, width + 1, size=shape))
+        awake = action > 0
+        records["action"] = action
+        records["rb_global"] = np.where(awake, offset + action - 1, -1)
+        records["rb_state"] = np.where(awake, rng.integers(0, 2, shape), -1)
+        records["observation"] = np.where(awake, rng.integers(0, 2, shape), -1)
+        records["rate"] = np.where(awake, rng.random(shape) * 1e5, 0.0)
+        calls.append(records.reshape(-1))
+    return calls
+
+
+@pytest.mark.parametrize("make_calls", [
+    *(pytest.param(functools.partial(_random_calls, size), id=str(size))
+      for size in (0, 1, cli.SLOT_BLOCK, cli.SLOT_BLOCK + 1)),
+    # the slice and device columns repeat every slot and period
+    pytest.param(functools.partial(_engine_calls, 40, 4, periods=3), id="periods"),
+    # new slice and device columns: in a call of the same size, then of another
+    pytest.param(lambda: (_engine_calls(40, 4) + _engine_calls(40, 4, first=10, seed=1)
+                          + _engine_calls(30, 6, seed=2)), id="relayout"),
+    # two-digit actions and pool indices
+    pytest.param(functools.partial(_engine_calls, 40, 24), id="wide-pool"),
+    pytest.param(functools.partial(_engine_calls, 40, 4, asleep=0.95), id="sleepers"),
+    pytest.param(functools.partial(_engine_calls, cli.SLOT_BLOCK + 300, 6, periods=2,
+                                   slots=2), id="long-row"),
+])
+def test_slot_writer_matches_csv_writer(tmp_path, make_calls):
+    calls = make_calls()
+    _reference_slots(tmp_path / "reference.csv", np.concatenate(calls))
+    buffers = {}
     with cli._slots_csv(tmp_path / "fast.csv") as sink:
-        sink(0, records)
-    _reference_slots(tmp_path / "reference.csv", records)
+        for records in calls:
+            # as the engine's, each call's array is refilled by the next call of its size
+            buffer = buffers.setdefault(records.size, np.empty_like(records))
+            buffer[...] = records
+            sink(0, buffer)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
