@@ -50,9 +50,12 @@ SUMMARY_HEADER = ["run_id", "seed", "axis_value",
                   "mean_discounted_reward", "final_max_abs_gap"]
 SLOT_HEADER = [*engine.SLOT_RECORD.names, "reward"]   # reward repeats the rate
 AGG_HEADER = ["axis_value", "mean", "stderr"]
-SLOT_BLOCK = 2048   # most slot records formatted and written at a time
-# slot record fields formatted once per distinct tuple of them in a slot row
-_GROUP = ("action", "rb_global", "rb_state", "observation")
+SLOT_BLOCK = 2048   # slot records formatted and written at a time
+# slot record int fields formatted together, once per distinct tuple in a
+# block; grouped as they repeat in the engine's layout: period and slot along
+# a slot row, slice and device across rows, the rest over a few small values
+_SLOT_GROUPS = (("period", "slot"), ("slice", "device"),
+                ("action", "rb_global", "rb_state", "observation"))
 
 
 def _fmt(x: float) -> str:
@@ -98,17 +101,6 @@ def _period_rows(summary: engine.RunSummary) -> List[List]:
              r.delta_applied, r.access_rbs] for r in summary.period_rows]
 
 
-def _slot_pieces(records: np.ndarray):
-    """The records as runs of one (period, slot), each cut at SLOT_BLOCK
-    records: for the engine's records, one slot row of one run."""
-    period, slot = records["period"], records["slot"]
-    cuts = np.flatnonzero((period[1:] != period[:-1]) | (slot[1:] != slot[:-1])) + 1
-    bounds = [0, *cuts.tolist(), records.size]
-    for lo, hi in zip(bounds, bounds[1:]):
-        for start in range(lo, hi, SLOT_BLOCK):
-            yield records[start:min(start + SLOT_BLOCK, hi)]
-
-
 def _dense_codes(column: np.ndarray) -> Tuple[np.ndarray, int]:
     """The column as codes below m that are equal where its values are, and
     m, which is at most the column's size."""
@@ -120,47 +112,41 @@ def _dense_codes(column: np.ndarray) -> Tuple[np.ndarray, int]:
     return codes, values.size
 
 
-def _write_slots(fh, records: np.ndarray, last: dict) -> None:
-    """Append slot records to slots.csv one piece (`_slot_pieces`) at a time,
-    formatting each repeated group of fields once.
+def _group_texts(block: np.ndarray, names: Sequence[str]) -> np.ndarray:
+    """The block's "f1,f2,...," texts of the int fields `names`, one a
+    record, as an object array; each distinct tuple is formatted once,
+    found by one int64 key of the fields' dense codes (below
+    SLOT_BLOCK**len(names), so it cannot overflow for four fields)."""
+    key = np.zeros(block.size, dtype=np.int64)
+    for name in names:
+        codes, size = _dense_codes(block[name])
+        key = key * size + codes
+    _, first, which = np.unique(key, return_index=True, return_inverse=True)
+    values = np.column_stack([block[name][first] for name in names]).ravel()
+    table = ("%d," * len(names) + "\n") * first.size % tuple(values.tolist())
+    return np.array(table.splitlines(), dtype=object)[which]
+
+
+def _write_slots(fh, records: np.ndarray) -> None:
+    """Append slot records to slots.csv one SLOT_BLOCK at a time, formatting
+    each repeated group of fields once per block.
 
     Every field is a number, so nothing needs quoting, `%d` equals str and
-    `%.9g` equals `_fmt`; rows end in csv.writer's CRLF.  In a piece:
-    period and slot are one literal; the "slice,device," texts are those of
-    the last piece written (kept in `last`) when both columns are equal to
-    its own, and formatted anew otherwise; each distinct (action, rb_global,
-    rb_state, observation) is formatted once, found by one int64 key of the
-    four columns' dense codes, below SLOT_BLOCK**4; each rate is formatted
-    once and written as both rate and reward.  A piece is joined and
+    `%.9g` equals `_fmt`; rows end in csv.writer's CRLF.  A block is a table
+    of seven texts a record: one per field group of _SLOT_GROUPS
+    (`_group_texts`), the rate, a comma, the rate again as the reward, and
+    the line end.  Each rate is formatted once.  A block is joined and
     written as one string."""
-    for piece in _slot_pieces(records):
-        n = piece.size
-        slices, devices = piece["slice"], piece["device"]
-        if not (np.array_equal(slices, last["slice"])
-                and np.array_equal(devices, last["device"])):
-            last["slice"], last["device"] = slices.copy(), devices.copy()
-            last["texts"] = ("%d,%d,\n" * n % tuple(
-                np.column_stack((slices, devices)).ravel().tolist())).splitlines()
-        key = np.zeros(n, dtype=np.int64)
-        for name in _GROUP:
-            codes, size = _dense_codes(piece[name])
-            key = key * size + codes
-        _, first, which = np.unique(key, return_index=True, return_inverse=True)
-        groups = ("%d,%d,%d,%d,\n" * first.size % tuple(np.column_stack(
-            [piece[name][first] for name in _GROUP]).ravel().tolist())).splitlines()
-        rates = ("%.9g\n" * n % tuple(piece["rate"].tolist())).splitlines()
-        head = "%d,%d," % (piece["period"][0], piece["slot"][0])
-        # the piece's head, then six texts a record; the sixth ends it and,
-        # but for the last record's, opens the next record with the head
-        texts = ["\r\n" + head] * (1 + 6 * n)
-        texts[0] = head
-        texts[1::6] = last["texts"]
-        texts[2::6] = map(groups.__getitem__, which.tolist())
-        texts[3::6] = rates
-        texts[4::6] = [","] * n
-        texts[5::6] = rates
-        texts[-1] = "\r\n"
-        fh.write("".join(texts))
+    for start in range(0, records.size, SLOT_BLOCK):
+        block = records[start:start + SLOT_BLOCK]
+        texts = np.empty((block.size, 7), dtype=object)
+        for column, names in enumerate(_SLOT_GROUPS):
+            texts[:, column] = _group_texts(block, names)
+        texts[:, 3] = texts[:, 5] = (
+            "%.9g\n" * block.size % tuple(block["rate"].tolist())).splitlines()
+        texts[:, 4] = ","
+        texts[:, 6] = "\r\n"
+        fh.write("".join(texts.ravel().tolist()))
 
 
 @contextlib.contextmanager
@@ -170,11 +156,10 @@ def _slots_csv(path: Path):
     and moved into place when the block exits cleanly; when it raises, the
     temporary file is removed, so a failed run leaves no partial file."""
     part = path.with_name(path.name + ".part")
-    last = dict.fromkeys(("slice", "device"), np.empty(0, dtype=np.int64))
     try:
         with part.open("w", newline="") as fh:
             fh.write(",".join(SLOT_HEADER) + "\r\n")
-            yield lambda _run, records: _write_slots(fh, records, last)
+            yield lambda _run, records: _write_slots(fh, records)
         os.replace(part, path)
     finally:
         part.unlink(missing_ok=True)

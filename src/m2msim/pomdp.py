@@ -859,7 +859,9 @@ def _prune(vectors: np.ndarray, tol: float = 1e-11) -> np.ndarray:
             pending.insert(0, v)
         else:
             kept_list.append(v)
-    return np.array(kept_list)   # rows of the deduplicated vecs: distinct
+    # rows of vecs, so distinct at the first _dedupe's rounding scale (the
+    # input's); not re-deduplicated at the kept rows' own, finer scale
+    return np.array(kept_list)
 
 
 def _cross_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -235,6 +235,17 @@ def _engine_calls(devices, pool, first=None, periods=1, slots=3, asleep=0.3, see
     return calls
 
 
+def _wide_span_calls():
+    """Three records whose last three group fields span 2**22 values: a key
+    of those fields' offsets from their minimum would put action at 2**66,
+    which wraps to 0 in int64, so records 0 and 1 would share a text."""
+    records = np.zeros(3, dtype=engine.SLOT_RECORD)
+    records["action"] = [0, 1, 0]
+    for name in ("rb_global", "rb_state", "observation"):
+        records[name] = [0, 0, 2**22 - 1]
+    return [records]
+
+
 @pytest.mark.parametrize("make_calls", [
     *(pytest.param(functools.partial(_random_calls, size), id=str(size))
       for size in (0, 1, cli.SLOT_BLOCK, cli.SLOT_BLOCK + 1)),
@@ -248,6 +259,7 @@ def _engine_calls(devices, pool, first=None, periods=1, slots=3, asleep=0.3, see
     pytest.param(functools.partial(_engine_calls, 40, 4, asleep=0.95), id="sleepers"),
     pytest.param(functools.partial(_engine_calls, cli.SLOT_BLOCK + 300, 6, periods=2,
                                    slots=2), id="long-row"),
+    pytest.param(_wide_span_calls, id="wide-span"),
 ])
 def test_slot_writer_matches_csv_writer(tmp_path, make_calls):
     calls = make_calls()
