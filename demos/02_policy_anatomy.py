@@ -11,8 +11,8 @@ and prints where each backend would send the device.
 import numpy as np
 
 from m2msim.channel import RbMarkov
-from m2msim.pomdp import (ObservationModel, PomdpModel, exhaustive_value,
-                          solve_exact, solve_grid, solve)
+from m2msim.pomdp import (MyopicPolicy, ObservationModel, PomdpModel,
+                          exhaustive_value, solve_exact, solve_grid)
 
 
 def main() -> None:
@@ -25,7 +25,7 @@ def main() -> None:
 
     exact = solve_exact(model)
     grid = solve_grid(model, grid_points=201)
-    myopic = solve(model, mode="myopic")
+    myopic = MyopicPolicy(model)
 
     beliefs = np.array([[0.9, 0.9], [0.9, 0.2], [0.2, 0.9],
                         [0.5, 0.5], [0.05, 0.05]])

@@ -29,7 +29,7 @@ from .pomdp import ObservationModel, PomdpModel
 from .slicing import VirtualNetwork
 
 POLICY_MODES = ("pomdp", "random", "perfect")
-SOLVER_MODES = ("auto", "exact", "grid", "myopic")
+SOLVER_MODES = ("auto", "exact", "grid")
 # each sweep axis and the document key it sets
 SWEEP_AXES = {"rbs": "slices", "epsilon": "observation.epsilon", "beta": "policy.discount",
               "omega": "controller.omega", "mu": "controller.mu",
@@ -94,12 +94,10 @@ class ScenarioConfig:
         if self.force_equal_noise and self.obs.epsilon != self.obs.phi:
             raise ConfigError("observation.phi", "epsilon and phi differ; "
                                                  "set force_equal_noise false to allow that")
-        if self.solver_mode == "myopic":
-            # the engine's per-RB rates are equal, so one RB stands for every width
-            try:
-                pomdp.MyopicPolicy(_planning_model(self, 1))
-            except ValueError as exc:
-                raise ConfigError("policy.solver", str(exc)) from None
+        try:
+            self.markov.stationary_idle()     # the engine's first occupancy draw
+        except ValueError as exc:
+            raise ConfigError("markov.busy_to_idle", str(exc)) from None
 
 
 # One device-slot, named as slots.csv's columns but for reward, which repeats
@@ -313,21 +311,12 @@ class Simulation:
     # -- policies and block layout ------------------------------------------
 
     def _policy(self, run: _Run, width: int):
-        """The planning policy of a slice `width` RBs wide, solved once per run.
-
-        Under solver auto, outside the myopic case, a model whose planners
-        provably always access gets the greedy rule, whose sign is then
-        theirs, and no solve."""
+        """The planning policy of a slice `width` RBs wide, solved once per run."""
         if width not in run.policies:
             cfg = run.config
-            model = _planning_model(cfg, width)
-            if (cfg.solver_mode == "auto"
-                    and not model.action_independent_observations()
-                    and pomdp.access_certified(model)):
-                run.policies[width] = pomdp.MyopicPolicy(model)
-            else:
-                run.policies[width] = pomdp.solve(model, mode=cfg.solver_mode,
-                                                  grid_points=cfg.grid_points)
+            run.policies[width] = pomdp.solve(_planning_model(cfg, width),
+                                              mode=cfg.solver_mode,
+                                              grid_points=cfg.grid_points)
         return run.policies[width]
 
     # -- slot dynamics ------------------------------------------------------
@@ -406,16 +395,12 @@ class Simulation:
                 continue
             if access is None:
                 access = np.ones(self.n_devices, dtype=bool)
-            beliefs = self.beliefs[run.rows, :run.width]
-            valid = self._belief_mask[run.rows, :run.width]
-            if isinstance(widest, pomdp.MyopicPolicy):    # any width, the cheaper sign
-                access[run.rows] = widest.accesses(beliefs, valid, slot)
-                continue
+            beliefs = self.beliefs[run.rows]
             mine, widths = access[run.rows], self._belief_widths[run.rows]
             for width in set(self.allocation[run.slices]):
                 rows = widths == width
                 mine[rows] = self._policy(run, width).act_batch(
-                    beliefs[rows, :width], valid[rows, :width], slot) > 0
+                    beliefs[rows, :width], slot) > 0
         actions = self._access.draw(idle, policy_u)
         return actions if access is None else np.where(access, actions, 0)
 

@@ -24,29 +24,30 @@ Horizon-K planning maximises  sum_k  discount**(K-1-k) * reward_k,  i.e. the
 final slot carries full weight and earlier slots are attenuated (0**0 := 1,
 so discount 0 keeps only the last slot).
 
-Three interchangeable solver modes:
+Two solvers and a greedy rule:
 
   exact   joint-state piecewise-linear value functions (one alpha-vector set
           per slot, dominated vectors pruned), exact on the product-belief
           manifold.  Exponential in the RB count, so capped.
   grid    value tables on a per-RB belief grid with nearest-point lookup.
-  myopic  per-slot argmax of expected immediate rate.  When epsilon == phi
-          and sleeping devices still hear every RB, the observation law does
-          not depend on the action, beliefs evolve the same way whatever the
-          device does, and the greedy rule is provably optimal.  This is the
-          production path for wide slices.
+  myopic  `MyopicPolicy`, the per-slot argmax of expected immediate rate.
+          When epsilon == phi and sleeping devices still hear every RB, the
+          observation law does not depend on the action, beliefs evolve the
+          same way whatever the device does, and the greedy rule is
+          provably optimal.  This is the production path for wide slices.
 
-The simulator reads only the sign of a planner's action.  Where
-`access_certified` proves that exact and grid access at every belief and
-slot, every expected rate is positive and the greedy rule accesses too, so
-`MyopicPolicy` also admits certified models, and under solver auto the
-simulator runs it there and solves nothing.  `solve` never substitutes it:
-its callers may read the planner's RB choice.
+`solve` is the one planning decision.  Modes exact and grid run that
+solver.  Mode auto returns the greedy rule where the observations are
+action-independent or `access_certified` proves that exact and grid access
+at every belief and slot; there every expected rate is positive, so the
+greedy rule accesses too, and the simulator, which reads only the sign of a
+planner's action, solves nothing.  On a certified model the greedy rule's
+RB choice need not be a solver's.  Elsewhere auto solves exact up to 2 RBs
+and 8 slots, and grid beyond.
 
-Every policy has `act_batch(beliefs (N, R), valid (N, R), slot) -> (N,)`;
-the planners need full-width rows.  The myopic rule also gives the sign
-alone (`accesses`), which skips the argmax, and says when it is access for
-every belief (`all_access`).
+Every policy has `act_batch(beliefs (N, R), slot) -> (N,)` over full-width
+rows; the greedy rule also says when it is access for every belief
+(`all_access`).
 Ties: myopic rates are one product per RB and carry no float noise, so it
 takes their exact argmax (lowest RB first; sleep only when the best rate is
 <= 0).  Exact and grid values do carry noise, so `_pick_action` counts
@@ -303,7 +304,7 @@ def _predicted_rates(model: PomdpModel, beliefs: np.ndarray) -> np.ndarray:
 
 def _act_one(policy, belief: np.ndarray, slot: int) -> int:
     b = np.asarray(belief, dtype=float)[None, :]
-    return int(policy.act_batch(b, np.ones(b.shape, dtype=bool), slot)[0])
+    return int(policy.act_batch(b, slot)[0])
 
 
 def _scalar_if_equal(rates: np.ndarray):
@@ -316,9 +317,7 @@ class MyopicPolicy:
     expected rate is then positive, so it accesses at every belief and slot).
 
     Exact argmax of the unweighted expected rates, with no tie band (see the
-    module docstring); every device sleeps when the slot weight is 0.  RBs are
-    scored one by one, so narrower rows can be masked in via `valid`: one
-    instance serves every width.
+    module docstring); every device sleeps when the slot weight is 0.
     """
 
     mode = "myopic"
@@ -338,13 +337,12 @@ class MyopicPolicy:
     def act(self, belief: np.ndarray, slot: int) -> int:
         return _act_one(self, belief, slot)
 
-    def act_batch(self, beliefs: np.ndarray, valid: np.ndarray, slot: int) -> np.ndarray:
-        """Actions (N,) for beliefs (N, R); valid (N, R) marks each row's RBs."""
+    def act_batch(self, beliefs: np.ndarray, slot: int) -> np.ndarray:
+        """Actions (N,) for beliefs (N, R)."""
         if self.model.slot_weight(slot) == 0.0:
             return np.zeros(len(beliefs), dtype=int)
         m = belief_propagate(beliefs, self.model.markov)
         exp_rate = m * self._rate_idle + (1.0 - m) * self._rate_busy
-        exp_rate[~valid] = -np.inf
         best = np.argmax(exp_rate, axis=1)
         q = exp_rate[np.arange(len(beliefs)), best]
         return np.where(q > 0.0, best + 1, 0)
@@ -352,12 +350,6 @@ class MyopicPolicy:
     def all_access(self, slot: int) -> bool:
         """Whether every belief accesses at this slot, known without beliefs."""
         return self._rates_positive and self.model.slot_weight(slot) != 0.0
-
-    def accesses(self, beliefs: np.ndarray, valid: np.ndarray, slot: int) -> np.ndarray:
-        """act_batch(...) > 0 (N,), without the argmax when no device can sleep."""
-        if self.all_access(slot):
-            return np.ones(len(beliefs), dtype=bool)
-        return self.act_batch(beliefs, valid, slot) > 0
 
 
 class AlphaPolicy:
@@ -385,7 +377,7 @@ class AlphaPolicy:
     def act(self, belief: np.ndarray, slot: int) -> int:
         return _act_one(self, belief, slot)
 
-    def act_batch(self, beliefs: np.ndarray, valid: np.ndarray, slot: int) -> np.ndarray:
+    def act_batch(self, beliefs: np.ndarray, slot: int) -> np.ndarray:
         return _pick_action(self.action_values(beliefs, slot))
 
     def value(self, belief: np.ndarray, slot: int = 0) -> float:
@@ -409,7 +401,7 @@ class GridPolicy:
     def act(self, belief: np.ndarray, slot: int) -> int:
         return _act_one(self, belief, slot)
 
-    def act_batch(self, beliefs: np.ndarray, valid: np.ndarray, slot: int) -> np.ndarray:
+    def act_batch(self, beliefs: np.ndarray, slot: int) -> np.ndarray:
         return _pick_action(self.action_values(beliefs, slot))
 
     def value(self, belief: np.ndarray, slot: int = 0) -> float:
@@ -501,9 +493,12 @@ def _fading_quadrature(radio: RadioParams):
     [1e-12, 60 P / N0], past which the integrand is below e^-60 of its scale.
     """
     p = radio.tx_power
-    log_s = np.arange(np.log(1e-12), np.log(60.0 * p / radio.noise_power) + _NODE_STEP,
-                      _NODE_STEP)
-    s = np.exp(log_s)
+    # at least one node: below 60 P / N0 = 1e-12 its weights underflow to 0,
+    # and at P = 0 they are 0, as every rate is
+    top = max(60.0 * p / radio.noise_power, 1e-12)
+    s = np.exp(np.arange(np.log(1e-12), np.log(top) + _NODE_STEP, _NODE_STEP))
+    if p == 0.0:
+        return s, np.zeros((2, s.size))
     idle = np.exp(-s * radio.noise_power / p) * (1.0 - (1.0 + 2.0 * s) ** -0.5) * _NODE_STEP
     busy = idle * (1.0 + 2.0 * s * radio.effective_busy_power / p) ** -0.5
     return s, np.stack([idle, busy])
@@ -985,18 +980,17 @@ def solve_grid(model: PomdpModel, grid_points: int = 101,
 
 
 def solve(model: PomdpModel, mode: str = "auto", grid_points: int = 101):
-    """Plan one horizon; returns a policy with .act_batch(beliefs, valid, slot)."""
+    """Plan one horizon; returns a policy with .act_batch(beliefs, slot).
+
+    auto: the greedy rule where observations are action-independent or
+    access is certified, else exact up to 2 RBs and 8 slots, else grid."""
+    if mode == "auto":
+        if model.action_independent_observations() or access_certified(model):
+            return MyopicPolicy(model)
+        mode = "exact" if model.n_rbs <= 2 and model.horizon <= 8 else "grid"
     if mode == "exact":
         return solve_exact(model)
     if mode == "grid":
-        return solve_grid(model, grid_points=grid_points)
-    if mode == "myopic":
-        return MyopicPolicy(model)
-    if mode == "auto":
-        if model.action_independent_observations():
-            return MyopicPolicy(model)
-        if model.n_rbs <= 2 and model.horizon <= 8:
-            return solve_exact(model)
         return solve_grid(model, grid_points=grid_points)
     raise ValueError(f"unknown solver mode {mode!r}")
 

@@ -15,8 +15,8 @@ PINNED_MARKOV = RbMarkov(0.9, 0.1, 0.95, 0.05)
 
 # the benchmark's exact-solver scenario, as two-slice overrides: epsilon !=
 # phi takes it off the greedy fast path, but at the profile's discount of 0.9
-# its access is certified, so the engine runs the greedy rule and solves
-# nothing; at discount 0.5 it is not certified and each run solves exactly
+# its access is certified, so solver auto returns the greedy rule and solves
+# no planner; at discount 0.5 it is not certified and each run solves exactly
 EXACT_SOLVER = ("observation.force_equal_noise=false", "observation.phi=0.2",
                 "controller_enabled=false", "timebase.periods=1",
                 "timebase.slots_per_period=8", "slices.0.access_rbs=2",

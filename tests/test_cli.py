@@ -131,13 +131,14 @@ class TestRun:
         ("observation.sleep_sensing=false",),
         ("observation.force_equal_noise=false", "observation.phi=0.3")])
     def test_myopic_outside_its_regime_names_the_solver(self, overrides, tmp_path, capsys):
-        """Neither action-independent nor certified: refused before the run."""
+        """myopic is no solver mode (auto picks the greedy rule), so it is
+        refused before the run in every regime, these two included."""
         argv = ["run", *SMALL, "--set", "policy.solver=myopic", "--out", str(tmp_path)]
         for item in overrides:
             argv += ["--set", item]
         assert run_cli(argv) == cli.EXIT_CONFIG
         assert "policy.solver" in capsys.readouterr().err
-        assert not (tmp_path / "periods.csv").exists()
+        assert not any(tmp_path.iterdir())
 
     def test_python_tags_in_a_scenario_file_run_nothing(self, tmp_path, capsys):
         """A scenario file is outside input: its !!python/ tags are refused,

@@ -123,22 +123,27 @@ class TestRoundTrip:
             "policy.grid_points": data.draw(st.integers(2, 501), label="grid_points"),
             "policy.discount": data.draw(unit, label="discount"),
         }
-        if values["policy.solver"] == "myopic":
-            # refused outside its regime (ScenarioConfig.validate); equal noise is in it
-            values["observation.phi"] = values["observation.epsilon"]
         if data.draw(st.booleans(), label="watts"):
             values["radio.tx_power_dbm"] = None
             values["radio.tx_power"] = data.draw(st.floats(0.0, 10.0), label="tx_power")
         else:
             values["radio.tx_power_dbm"] = data.draw(st.floats(-50.0, 50.0), label="dbm")
-        to_idle = data.draw(unit, label="idle_to_idle")
-        from_busy = data.draw(unit, label="busy_to_idle")
+        # half the draws at 0 or 1, so absorbing and frozen chains come up
+        step = st.sampled_from([0.0, 1.0]) | unit
+        to_idle = data.draw(step, label="idle_to_idle")
+        from_busy = data.draw(step, label="busy_to_idle")
         values.update({"markov.idle_to_idle": to_idle, "markov.idle_to_busy": 1.0 - to_idle,
                        "markov.busy_to_idle": from_busy,
                        "markov.busy_to_busy": 1.0 - from_busy})
         profile = data.draw(st.sampled_from(["five-slice", "two-slice"]), label="profile")
         overrides = [f"{key}={_yaml_scalar(value)}" for key, value in values.items()]
 
+        if to_idle == 1.0 and from_busy == 0.0:
+            # a frozen chain has no stationary law (ScenarioConfig.validate)
+            with pytest.raises(ConfigError) as err:
+                load_config(profile, overrides)
+            assert err.value.path.startswith("markov.")
+            return
         cfg = load_config(profile, overrides)
 
         assert build_config(to_document(cfg)) == cfg

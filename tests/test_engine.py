@@ -8,11 +8,11 @@ import pytest
 from conftest import (EXACT_SOLVER, PINNED_MARKOV, paired, recorded_batch, recorded_run,
                       small_radio, tiny_config)
 from m2msim import engine, pomdp
-from m2msim.channel import BUSY, IDLE, CellTopology, Timebase
+from m2msim.channel import BUSY, IDLE, CellTopology, RbMarkov, Timebase
 from m2msim.config import ConfigError, load_config
 from m2msim.controller import ControllerParams
-from m2msim.engine import (SLOT_RECORD, SWEEP_AXES, ScenarioConfig, Simulation,
-                           aggregate_sweep, planning_rates, run_batch,
+from m2msim.engine import (POLICY_MODES, SLOT_RECORD, SWEEP_AXES, ScenarioConfig,
+                           Simulation, aggregate_sweep, planning_rates, run_batch,
                            run_simulation, run_sweep, with_axis_value)
 from m2msim.pomdp import ObservationModel
 from m2msim.slicing import VirtualNetwork
@@ -243,20 +243,23 @@ def test_each_slice_width_is_solved_once_per_run(solver_mode, monkeypatch):
     widths = {row.access_rbs for row in summary.period_rows}
     assert len(widths) > 1  # the controller moved RBs, so widths changed
     assert set(solved.values()) == {1}
+    solved_widths = {width for width, _ in solved}
     if solver_mode == "grid":
-        assert set(solved) == widths       # one planner per width in use
+        assert solved_widths == widths     # one planner per width in use
     else:
-        assert set(solved) <= widths       # the widest greedy rule serves all
+        # the widest greedy rule's all-access skip leaves the others unasked
+        assert solved_widths <= widths
 
 
 def _count_solves(monkeypatch) -> Counter:
-    """Count `pomdp.solve` calls by RB count from here on."""
+    """Count `pomdp.solve` calls by (RB count, returned policy's mode) from here on."""
     solved = Counter()
     real_solve = pomdp.solve
 
     def counting_solve(model, **kwargs):
-        solved[model.n_rbs] += 1
-        return real_solve(model, **kwargs)
+        policy = real_solve(model, **kwargs)
+        solved[model.n_rbs, policy.mode] += 1
+        return policy
 
     monkeypatch.setattr(pomdp, "solve", counting_solve)
     return solved
@@ -264,15 +267,17 @@ def _count_solves(monkeypatch) -> Counter:
 
 def test_certified_auto_run_solves_nothing_and_matches_exact(monkeypatch):
     """With eps != phi the planners provably always access here, so solver
-    auto solves nothing and its run equals the exact planner's."""
+    auto returns the greedy rule, solves no planner, and its run equals the
+    exact planner's."""
     cfg = tiny_config(obs=ObservationModel(0.1, 0.3), force_equal_noise=False,
                       timebase=Timebase(slot_duration=1e-3, slots_per_period=4,
                                         periods=3), seed=11)
     solved = _count_solves(monkeypatch)
     auto, auto_records = recorded_run(cfg)
-    assert not solved
+    assert {mode for _, mode in solved} == {"myopic"}
+    solved.clear()
     exact, exact_records = recorded_run(paired(cfg, solver_mode="exact"))
-    assert solved == {2: 1}
+    assert solved == {(2, "exact"): 1}
     assert auto.period_rows == exact.period_rows
     assert np.array_equal(auto_records, exact_records)
 
@@ -290,17 +295,35 @@ def test_baseline_arms_never_solve(mode, monkeypatch):
 
 def test_certified_wide_slices_need_no_grid(monkeypatch):
     """two-slice at 5 RBs a slice with phi 0.2 once sent auto to a 101**5
-    grid, past its cap; access is certified there, so the run completes
-    without a solve and every device accesses every slot."""
+    grid, past its cap; access is certified there, so auto returns the
+    greedy rule, the run completes without an exact or grid solve and every
+    device accesses every slot."""
     cfg = load_config("two-slice", ["observation.force_equal_noise=false",
                                     "observation.phi=0.2", "controller_enabled=false",
                                     "timebase.slots_per_period=8", "timebase.periods=2"])
     solved = _count_solves(monkeypatch)
     _, records = recorded_run(cfg)
-    assert not solved
+    assert solved == {(5, "myopic"): 1}
     assert np.all(records["action"] > 0)
     with pytest.raises(pomdp.SolverCapError, match="101\\*\\*5"):
         run_simulation(paired(cfg, solver_mode="grid"))
+
+
+@pytest.mark.parametrize("mode", POLICY_MODES)
+def test_zero_transmit_power_earns_nothing(mode):
+    """At tx_power 0 every rate is 0.  The informed arm's expected rates are
+    all 0, so it sleeps; the access rule's shares stay uniform, so the
+    baselines draw the random arm's RBs."""
+    cfg = tiny_config(radio=dataclasses.replace(small_radio(), tx_power=0.0),
+                      policy_mode=mode, seed=5)
+    summary, records = recorded_run(cfg)
+    assert summary.mean_discounted_reward == 0.0
+    assert np.all(records["rate"] == 0.0)
+    if mode == "pomdp":
+        assert np.all(records["action"] == 0)
+    else:
+        _, blind = recorded_run(paired(cfg, policy_mode="random"))
+        assert np.array_equal(records["action"], blind["action"])
 
 
 def test_belief_carry_over_follows_pool_indices():
@@ -453,7 +476,7 @@ def test_batch_rows_equal_single_runs_with_a_solved_planner(monkeypatch):
     configs = [paired(base, seed=seed) for seed in (1, 2)]
     solved = _count_solves(monkeypatch)
     _assert_rows_are_single_runs(configs, monkeypatch)
-    assert solved == {2: 2 * len(configs)}     # once in the batch, once alone
+    assert solved == {(2, "exact"): 2 * len(configs)}    # once in the batch, once alone
 
 
 def test_draws_by_the_period_equal_draws_by_the_slot(monkeypatch):
@@ -493,9 +516,8 @@ CODE_REFUSALS = {
                 VirtualNetwork(slice_id=2, devices=1, access_rbs=2, data_rbs=0,
                                weight=2.0))), "slices"),
     "equal-noise": (dict(obs=ObservationModel(0.1, 0.3)), "observation.phi"),
-    # neither action-independent (no sleep sensing) nor certified (discount 0)
-    "myopic": (dict(solver_mode="myopic", sleep_sensing=False, discount=0.0),
-               "policy.solver"),
+    # neither RB state is ever left, so there is no stationary law to start from
+    "frozen-chain": (dict(markov=RbMarkov(1.0, 0.0, 0.0, 1.0)), "markov.busy_to_idle"),
 }
 
 

@@ -269,49 +269,18 @@ class TestTieBreaks:
 class TestActBatch:
     """act_batch over N rows equals act row by row, for every backend."""
 
-    @pytest.mark.parametrize("backend", ["myopic", "exact", "grid"])
+    @pytest.mark.parametrize("backend", [
+        MyopicPolicy, solve_exact, lambda model: solve_grid(model, grid_points=21)],
+        ids=["myopic", "exact", "grid"])
     def test_rows_match_single_acts(self, backend):
         rng = np.random.default_rng(12)
         model = small_model(n_rbs=2, horizon=3, eps=0.25, discount=0.8)
-        policy = solve(model, mode=backend, grid_points=21)
+        policy = backend(model)
         beliefs = rng.random((30, 2))
         beliefs[:3] = [[0.5, 0.5], [0.0, 1.0], [1.0, 1.0]]
-        valid = np.ones(beliefs.shape, dtype=bool)
         for slot in range(model.horizon):
-            got = policy.act_batch(beliefs, valid, slot)
+            got = policy.act_batch(beliefs, slot)
             assert got.tolist() == [policy.act(b, slot) for b in beliefs]
-
-    def test_myopic_masks_narrower_rows(self):
-        rng = np.random.default_rng(13)
-        widths = np.array([1, 3, 2, 3, 1, 2] * 5)
-        beliefs = rng.random((widths.size, 3))
-        valid = np.arange(3)[None, :] < widths[:, None]
-        beliefs[~valid] = 0.0  # busy now predicts idle next best, so a leak would show
-        uniform = {w: MyopicPolicy(PomdpModel(
-            markov=PINNED_MARKOV, obs=ObservationModel.symmetric(0.2),
-            horizon=3, discount=0.7, rate_idle=np.full(w, 4.6e5),
-            rate_busy=np.full(w, 1.5e5))) for w in (1, 2, 3)}
-        for slot in range(3):
-            got = uniform[3].act_batch(beliefs, valid, slot)
-            want = [uniform[w].act(b[:w], slot) for b, w in zip(beliefs, widths)]
-            assert got.tolist() == want
-
-
-def test_myopic_accesses_is_the_sign_of_act_batch():
-    """Also when a zero rate lets an expected rate reach 0, and in a slot of
-    weight 0 (discount 0 keeps only the last slot)."""
-    rng = np.random.default_rng(14)
-    beliefs = rng.random((40, 3))
-    beliefs[:4] = [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.5, 0.0, 1.0], [0.0, 1.0, 0.0]]
-    valid = np.ones(beliefs.shape, dtype=bool)
-    markov = RbMarkov(1.0, 0.0, 0.0, 1.0)   # beliefs of 0 stay 0 after propagation
-    for rate_busy in (0.3, 0.0):
-        policy = MyopicPolicy(PomdpModel(
-            markov=markov, obs=ObservationModel.symmetric(0.2), horizon=3,
-            discount=0.0, rate_idle=np.full(3, 1.0), rate_busy=np.full(3, rate_busy)))
-        for slot in range(3):
-            assert np.array_equal(policy.accesses(beliefs, valid, slot),
-                                  policy.act_batch(beliefs, valid, slot) > 0)
 
 
 def _layout(widths, devices):
@@ -585,15 +554,22 @@ class TestSolvers:
             solve_exact(model)
 
     def test_auto_mode_selection(self):
+        # action-independent observations, then a certified model: the greedy rule
         assert solve(small_model(eps=0.2), mode="auto").mode == "myopic"
-        assert solve(small_model(eps=0.2, phi=0.3), mode="auto").mode == "exact"
-        wide = PomdpModel(markov=PINNED_MARKOV,
-                          obs=ObservationModel(0.2, 0.3),
-                          horizon=3, discount=0.9,
-                          rate_idle=np.ones(3), rate_busy=np.zeros(3))
-        assert solve(wide, mode="auto", grid_points=21).mode == "grid"
-        with pytest.raises(ValueError, match="mode"):
-            solve(small_model(), mode="banana")
+        certified = small_model(eps=0.2, phi=0.3)
+        assert access_certified(certified)
+        assert solve(certified, mode="auto").mode == "myopic"
+        # neither (discount 0 is never certified): exact up to 2 RBs, grid beyond
+        for n_rbs, mode in ((1, "exact"), (2, "exact"), (3, "grid")):
+            model = small_model(n_rbs=n_rbs, eps=0.2, phi=0.3, discount=0.0)
+            assert not access_certified(model)
+            assert solve(model, mode="auto", grid_points=21).mode == mode
+        # and exact only up to 8 slots
+        long = small_model(n_rbs=1, horizon=9, eps=0.2, phi=0.3, discount=0.0)
+        assert solve(long, mode="auto", grid_points=21).mode == "grid"
+        for mode in ("banana", "myopic"):
+            with pytest.raises(ValueError, match="mode"):
+                solve(small_model(), mode=mode)
 
     def test_horizon_one_is_pure_greedy(self):
         model = small_model(n_rbs=2, horizon=1, eps=0.3, discount=0.0)
@@ -652,8 +628,7 @@ def _mesh(n_rbs: int, points: int) -> np.ndarray:
 
 
 def _sleeps(policy, beliefs: np.ndarray) -> bool:
-    valid = np.ones(beliefs.shape, dtype=bool)
-    return any(np.any(policy.act_batch(beliefs, valid, k) == SLEEP)
+    return any(np.any(policy.act_batch(beliefs, k) == SLEEP)
                for k in range(policy.model.horizon))
 
 
@@ -706,16 +681,16 @@ class TestAccessCertificate:
     def test_access_policy_always_accesses(self):
         """On a certified model the greedy rule is admitted although eps !=
         phi, and it accesses at every belief and slot, at any width."""
-        model = small_model(n_rbs=3, eps=0.1, phi=0.3)
-        assert access_certified(model) and not model.action_independent_observations()
-        policy = MyopicPolicy(model)
-        beliefs = np.random.default_rng(8).random((50, 3))
-        valid = np.arange(3) < np.array([1, 2, 3] * 16 + [3, 3])[:, None]
-        for slot in range(model.horizon):
-            assert policy.all_access(slot)
-            assert np.all(policy.accesses(beliefs, valid, slot))
-            actions = policy.act_batch(beliefs * valid, valid, slot)
-            assert np.all((actions >= 1) & (actions <= valid.sum(axis=1)))
+        rng = np.random.default_rng(8)
+        for width in (1, 2, 3):
+            model = small_model(n_rbs=width, eps=0.1, phi=0.3)
+            assert access_certified(model) and not model.action_independent_observations()
+            policy = MyopicPolicy(model)
+            beliefs = rng.random((50, width))
+            for slot in range(model.horizon):
+                assert policy.all_access(slot)
+                actions = policy.act_batch(beliefs, slot)
+                assert np.all((actions >= 1) & (actions <= width))
 
 
 class TestModelValidation:
