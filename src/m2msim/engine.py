@@ -25,11 +25,10 @@ from . import controller as ctrl
 from . import pomdp, slicing
 from .channel import (BUSY, IDLE, CellTopology, RadioParams, RbMarkov,
                       Timebase, evolve_many, rate)
-from .pomdp import ObservationModel, PomdpModel
+from .pomdp import SOLVER_MODES, ObservationModel, PomdpModel
 from .slicing import VirtualNetwork
 
 POLICY_MODES = ("pomdp", "random", "perfect")
-SOLVER_MODES = ("auto", "exact", "grid")
 # each sweep axis and the document key it sets
 SWEEP_AXES = {"rbs": "slices", "epsilon": "observation.epsilon", "beta": "policy.discount",
               "omega": "controller.omega", "mu": "controller.mu",
@@ -133,7 +132,6 @@ class RunSummary:
     """One run's results.  mean_discounted_reward is the mean over periods of
     the device mean horizon total."""
 
-    seed: int
     mean_discounted_reward: float
     final_max_abs_gap: float
     period_rows: List[PeriodRow]
@@ -546,7 +544,6 @@ class Simulation:
                 for i, run in enumerate(self.runs):
                     self._slot_sink(i, self._records[:, run.rows].reshape(-1))
         return BatchSummary([RunSummary(
-            seed=run.config.seed,
             mean_discounted_reward=float(np.mean(run.period_mean_rewards)),
             final_max_abs_gap=float(np.max(np.abs(run.final_gap))),
             period_rows=run.period_rows)

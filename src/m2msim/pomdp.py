@@ -64,7 +64,6 @@ against.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -253,36 +252,35 @@ def total_discounted_reward(rewards: np.ndarray, discount: float) -> float | np.
 
 
 # ---------------------------------------------------------------------------
-# observation branches shared by the solvers and the reference evaluator
+# joint states and readings shared by the solvers and the reference evaluator
 #
+# `_state_bits` is the planner layer's one enumeration of bit patterns: the
+# exact solver's joint states, its transition matrix and the product law over
+# them, and every action's joint readings (branches) are tables built from it.
 # A branch is one joint reading the device can receive after taking an
-# action: per-RB likelihood vectors given idle / busy next-state, entries 1.0
-# for RBs that yield no reading.  Branch likelihoods sum to 1 over the list.
+# action: per-RB likelihoods given idle / busy next-state, entries 1.0 for RBs
+# that yield no reading.  Branch likelihoods sum to 1 over an action's table.
 
-def _obs_branches(model: PomdpModel, action: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-    n = model.n_rbs
-    if model.sleep_sensing:
-        heard = list(range(n))
-    else:
-        heard = [] if action == SLEEP else [action - 1]
-    if not heard:
-        return [(np.ones(n), np.ones(n))]
-    flip = np.full(n, model.obs.trusted_phi)
+def _state_bits(n_rbs: int) -> np.ndarray:
+    """(2**R, R) bit patterns, 1 for busy, in index order with RB 0 (or the
+    first heard RB) on the top bit; one empty row at zero RBs."""
+    return (np.arange(2 ** n_rbs)[:, None] >> np.arange(n_rbs - 1, -1, -1)) & 1
+
+
+def _obs_branches(model: PomdpModel, action: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Likelihood rows (B, R) of the action's joint readings given each RB
+    lands idle resp. busy; reading j is row j of `_state_bits` over the heard RBs."""
+    heard = np.full(model.n_rbs, model.sleep_sensing)
+    flip = np.full(model.n_rbs, model.obs.trusted_phi)
     if action != SLEEP:
+        heard[action - 1] = True
         flip[action - 1] = model.obs.trusted_epsilon
-    branches = []
-    for pattern in itertools.product((0, 1), repeat=len(heard)):
-        li = np.ones(n)
-        lb = np.ones(n)
-        for rb, saw_busy in zip(heard, pattern):
-            if saw_busy:
-                li[rb] = flip[rb]
-                lb[rb] = 1.0 - flip[rb]
-            else:
-                li[rb] = 1.0 - flip[rb]
-                lb[rb] = flip[rb]
-        branches.append((li, lb))
-    return branches
+    bits = _state_bits(int(heard.sum()))
+    saw_busy = np.zeros((len(bits), model.n_rbs), dtype=bool)
+    saw_busy[:, heard] = bits
+    li = np.where(heard, np.where(saw_busy, flip, 1.0 - flip), 1.0)
+    lb = np.where(heard, np.where(saw_busy, 1.0 - flip, flip), 1.0)
+    return li, lb
 
 
 def _branch_step(m: np.ndarray, li: np.ndarray, lb: np.ndarray):
@@ -307,10 +305,6 @@ def _act_one(policy, belief: np.ndarray, slot: int) -> int:
     return int(policy.act_batch(b, slot)[0])
 
 
-def _scalar_if_equal(rates: np.ndarray):
-    return rates[0] if np.all(rates == rates[0]) else rates
-
-
 class MyopicPolicy:
     """Greedy per-slot rule: optimal when observations ignore the action, and
     on a model `access_certified` holds for, the planners' sign (every
@@ -327,9 +321,6 @@ class MyopicPolicy:
             raise ValueError("myopic rule requires epsilon == phi and sleep sensing, "
                              "or a model whose access is certified")
         self.model = model
-        # scalar rates are far cheaper than broadcasting equal rate vectors
-        self._rate_idle = _scalar_if_equal(model.rate_idle)
-        self._rate_busy = _scalar_if_equal(model.rate_busy)
         # then every expected rate is positive, whatever the belief
         self._rates_positive = bool(np.all(model.rate_idle > 0.0)
                                     and np.all(model.rate_busy > 0.0))
@@ -341,8 +332,7 @@ class MyopicPolicy:
         """Actions (N,) for beliefs (N, R)."""
         if self.model.slot_weight(slot) == 0.0:
             return np.zeros(len(beliefs), dtype=int)
-        m = belief_propagate(beliefs, self.model.markov)
-        exp_rate = m * self._rate_idle + (1.0 - m) * self._rate_busy
+        exp_rate = _predicted_rates(self.model, beliefs)
         best = np.argmax(exp_rate, axis=1)
         q = exp_rate[np.arange(len(beliefs)), best]
         return np.where(q > 0.0, best + 1, 0)
@@ -361,13 +351,14 @@ class AlphaPolicy:
         self.model = model
         self.per_action = per_action  # [slot] -> {action: (n_alpha, S) array}
 
-    def _joint(self, beliefs: np.ndarray) -> np.ndarray:
-        # product law over joint states, one row per belief; RB 0 owns the
-        # top bit of the index, matching _joint_transition and _state_bits
-        joint = np.ones((len(beliefs), 1))
-        for b in reversed(beliefs.T[:, :, None]):
-            joint = np.hstack([joint * b, joint * (1.0 - b)])
-        return joint
+    @staticmethod
+    def _joint(beliefs: np.ndarray) -> np.ndarray:
+        # product law over `_state_bits`' joint states, one row per belief;
+        # the factors multiply from the last RB to the first
+        last_first = np.arange(beliefs.shape[1])[::-1]
+        b = beliefs[:, None, last_first]
+        busy = _state_bits(len(last_first))[:, last_first] == 1
+        return np.prod(np.where(busy, 1.0 - b, b), axis=-1)
 
     def action_values(self, beliefs: np.ndarray, slot: int) -> np.ndarray:
         joint = self._joint(np.asarray(beliefs, dtype=float))
@@ -753,21 +744,6 @@ class SliceAccess:
 # ---------------------------------------------------------------------------
 # exact solver: joint-state alpha vectors with dominated-vector pruning
 
-def _joint_transition(markov: RbMarkov, n_rbs: int) -> np.ndarray:
-    # repeated kron puts RB 0 on the most significant bit of the state index
-    p = markov.as_matrix()
-    t = np.ones((1, 1))
-    for _ in range(n_rbs):
-        t = np.kron(t, p)
-    return t
-
-
-def _state_bits(n_rbs: int) -> np.ndarray:
-    """(S, R) matrix of per-RB states for each joint state index."""
-    idx = np.arange(2 ** n_rbs)
-    return np.array([(idx >> (n_rbs - 1 - r)) & 1 for r in range(n_rbs)]).T
-
-
 @functools.lru_cache(maxsize=None)
 def _probes(n_states: int) -> np.ndarray:
     rng = np.random.default_rng(97 + n_states)
@@ -870,24 +846,17 @@ def solve_exact(model: PomdpModel) -> AlphaPolicy:
         raise SolverCapError(
             f"exact mode over {n} RBs needs 2**{n} joint states; use grid mode")
     s = 2 ** n
-    t = _joint_transition(model.markov, n)
     bits = _state_bits(n)
+    # joint transition: the product of the per-RB chains, from RB 0 on
+    t = np.prod(model.markov.as_matrix()[bits[:, None, :], bits[None, :, :]], axis=-1)
     actions = list(range(n + 1))
 
-    # expected post-step reward as a function of the pre-step joint state
-    imm = {SLEEP: np.zeros(s)}
-    for a in range(1, n + 1):
-        post = np.where(bits[:, a - 1] == 1, model.rate_busy[a - 1],
-                        model.rate_idle[a - 1])
-        imm[a] = t @ post
-
-    branch_like = {}
-    for a in actions:
-        like = []
-        for li, lb in _obs_branches(model, a):
-            per_state = np.prod(np.where(bits == 0, li[None, :], lb[None, :]), axis=1)
-            like.append(per_state)
-        branch_like[a] = like
+    # expected post-step reward of each action as a function of the pre-step
+    # joint state, and each action's branch likelihoods per post-step state
+    post = np.where(bits.T == 1, model.rate_busy[:, None], model.rate_idle[:, None])
+    imm = [np.zeros(s)] + [t @ rates for rates in post]
+    branch_like = [np.prod(np.where(bits == 0, li[:, None, :], lb[:, None, :]), axis=-1)
+                   for li, lb in (_obs_branches(model, a) for a in actions)]
     shared_future = model.action_independent_observations()
 
     per_action: List[Optional[dict]] = [None] * model.horizon
@@ -928,7 +897,7 @@ def _grid_action_values(model: PomdpModel, beliefs: np.ndarray, slot: int,
     q = np.empty((n_pts, n + 1))
     for a in range(n + 1):
         future = np.zeros(n_pts)
-        for li, lb in _obs_branches(model, a):
+        for li, lb in zip(*_obs_branches(model, a)):
             prob, post = _branch_step(m, li, lb)
             idx = np.rint(post * (grid_points - 1)).astype(np.intp)
             future += prob * next_table[tuple(idx.T)]
@@ -945,24 +914,26 @@ def _grid_row_entries(n_rbs: int) -> int:
     return 10 * n_rbs + 8
 
 
-def solve_grid(model: PomdpModel, grid_points: int = 101,
-               max_entries: int = 4_000_000) -> GridPolicy:
+_GRID_CAP = 4_000_000      # float entries one grid solve holds (32 MB of float64)
+
+
+def solve_grid(model: PomdpModel, grid_points: int = 101) -> GridPolicy:
     """Value tables on the product belief grid, nearest-point lookups.
 
-    Refused up front when the float entries it keeps exceed `max_entries`
-    (by default 32 MB of float64): horizon + 1 value tables, the (G**R, R)
-    mesh and the (G**R, R + 1) action values.  The backup runs over the mesh
-    a chunk of rows at a time, each chunk's temporaries within the mesh's
-    and the action values' share of that count, so the count bounds the
-    peak; every step is row by row, so the tables are those of one pass."""
+    Refused up front when the float entries it keeps exceed `_GRID_CAP`:
+    horizon + 1 value tables, the (G**R, R) mesh and the (G**R, R + 1)
+    action values.  The backup runs over the mesh a chunk of rows at a time,
+    each chunk's temporaries within the mesh's and the action values' share
+    of that count, so the count bounds the peak; every step is row by row,
+    so the tables are those of one pass."""
     n = model.n_rbs
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     entries = grid_points ** n * (model.horizon + 1 + n + n + 1)
-    if entries > max_entries:
+    if entries > _GRID_CAP:
         raise SolverCapError(
             f"grid of {grid_points}**{n} points over {model.horizon} slots holds "
-            f"{entries} entries, past the cap of {max_entries}; "
+            f"{entries} entries, past the cap of {_GRID_CAP}; "
             "reduce grid_points, the RB count or the horizon")
     axis = np.linspace(0.0, 1.0, grid_points)
     shape = (grid_points,) * n
@@ -979,20 +950,22 @@ def solve_grid(model: PomdpModel, grid_points: int = 101,
     return GridPolicy(model, grid_points, tables)
 
 
+SOLVER_MODES = ("auto", "exact", "grid")
+
+
 def solve(model: PomdpModel, mode: str = "auto", grid_points: int = 101):
-    """Plan one horizon; returns a policy with .act_batch(beliefs, slot).
+    """Plan one horizon in one of `SOLVER_MODES`; returns a policy with
+    .act_batch(beliefs, slot).
 
     auto: the greedy rule where observations are action-independent or
     access is certified, else exact up to 2 RBs and 8 slots, else grid."""
+    if mode not in SOLVER_MODES:
+        raise ValueError(f"unknown solver mode {mode!r}")
     if mode == "auto":
         if model.action_independent_observations() or access_certified(model):
             return MyopicPolicy(model)
         mode = "exact" if model.n_rbs <= 2 and model.horizon <= 8 else "grid"
-    if mode == "exact":
-        return solve_exact(model)
-    if mode == "grid":
-        return solve_grid(model, grid_points=grid_points)
-    raise ValueError(f"unknown solver mode {mode!r}")
+    return solve_exact(model) if mode == "exact" else solve_grid(model, grid_points)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,27 +974,21 @@ def solve(model: PomdpModel, mode: str = "auto", grid_points: int = 101):
 def exhaustive_value(model: PomdpModel, beliefs: np.ndarray) -> np.ndarray:
     """Exact optimal values at the given beliefs (N, R), no alpha vectors.
 
-    Expands every action/observation history level by level; feasible for the
-    small instances the exact solver is verified on.
+    Expands every action/observation history level by level, every node by
+    one `_branch_step` over all actions' branches stacked action after action;
+    feasible for the small instances the exact solver is verified on.
     """
     b0 = np.atleast_2d(np.asarray(beliefs, dtype=float))
-    actions = list(range(model.n_rbs + 1))
-    branches = {a: _obs_branches(model, a) for a in actions}
+    n_actions = model.n_rbs + 1
+    tables = [_obs_branches(model, a) for a in range(n_actions)]
+    owner = np.repeat(np.arange(n_actions), [len(li) for li, _ in tables])
+    li, lb = (np.concatenate(rows)[:, None, :] for rows in zip(*tables))
 
-    levels = [b0]
-    meta = []  # per level: list of (action, probs (M,)) in child-block order
-    for k in range(model.horizon - 1):
-        cur = levels[-1]
-        m = belief_propagate(cur, model.markov)
-        blocks = []
-        info = []
-        for a in actions:
-            for li, lb in branches[a]:
-                prob, post = _branch_step(m, li, lb)
-                blocks.append(post)
-                info.append((a, prob))
-        levels.append(np.concatenate(blocks, axis=0))
-        meta.append(info)
+    levels, probs = [b0], []    # per level: nodes (M, R), branch probabilities (B, M)
+    for _ in range(model.horizon - 1):
+        prob, post = _branch_step(belief_propagate(levels[-1], model.markov), li, lb)
+        levels.append(post.reshape(-1, model.n_rbs))
+        probs.append(prob)
 
     # last slot: only the immediate term remains
     value = np.max(np.concatenate(
@@ -1030,19 +997,11 @@ def exhaustive_value(model: PomdpModel, beliefs: np.ndarray) -> np.ndarray:
         axis=1), axis=1)
 
     for k in range(model.horizon - 2, -1, -1):
-        cur = levels[k]
-        n_nodes = cur.shape[0]
-        w = model.slot_weight(k)
-        pred = _predicted_rates(model, cur)
-        q = np.full((n_nodes, len(actions)), -np.inf)
-        child = value.reshape(-1, n_nodes)
-        block = 0
-        for a in actions:
-            total = np.zeros(n_nodes)
-            for _ in branches[a]:
-                total += meta[k][block][1] * child[block]
-                block += 1
-            q[:, a] = total if a == SLEEP else w * pred[:, a - 1] + total
+        terms = probs[k] * value.reshape(len(owner), -1)
+        # a running sum over each action's branches, in branch order
+        q = np.zeros((len(levels[k]), n_actions))
+        for a, term in zip(owner, terms):
+            q[:, a] += term
+        q[:, 1:] += model.slot_weight(k) * _predicted_rates(model, levels[k])
         value = np.max(q, axis=1)
     return value
-

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -42,7 +43,7 @@ def exhaustive_policy_value(model: PomdpModel, belief: np.ndarray, policy) -> fl
         else:
             pred = m[a - 1] * model.rate_idle[a - 1] + (1 - m[a - 1]) * model.rate_busy[a - 1]
             total = model.slot_weight(k) * pred
-        for li, lb in pomdp._obs_branches(model, a):
+        for li, lb in zip(*pomdp._obs_branches(model, a)):
             prob, post = pomdp._branch_step(m, li, lb)
             if prob > 0.0:
                 total += prob * recurse(post, k + 1)
@@ -517,7 +518,7 @@ class TestSolvers:
         with pytest.raises(SolverCapError):
             solve_grid(small_model(n_rbs=2), grid_points=3000)
 
-    def test_grid_cap_counts_every_array_it_holds(self):
+    def test_grid_cap_counts_every_array_it_holds(self, monkeypatch):
         # horizon + 1 value tables, the (G**R, R) mesh and the (G**R, R + 1)
         # action values; 1001**2 points fit the cap as one table, not as 9
         model = small_model(n_rbs=2, horizon=3)
@@ -525,9 +526,11 @@ class TestSolvers:
         with pytest.raises(SolverCapError, match="1001\\*\\*2"):
             solve_grid(model, grid_points=1001)
         entries = 11 ** 2 * (3 + 1 + 2 + 2 + 1)
-        solve_grid(model, grid_points=11, max_entries=entries)
+        monkeypatch.setattr(pomdp, "_GRID_CAP", entries)
+        solve_grid(model, grid_points=11)
+        monkeypatch.setattr(pomdp, "_GRID_CAP", entries - 1)
         with pytest.raises(SolverCapError):
-            solve_grid(model, grid_points=11, max_entries=entries - 1)
+            solve_grid(model, grid_points=11)
 
     @pytest.mark.parametrize("n_rbs,points,horizon", [(3, 41, 8), (1, 401, 6)])
     def test_grid_cap_bounds_the_peak(self, n_rbs, points, horizon):
@@ -579,6 +582,58 @@ class TestSolvers:
             [[0.0], belief_propagate(b, model.markov) * model.rate_idle
              + (1 - belief_propagate(b, model.markov)) * model.rate_busy]))
         assert policy.value(b) == pytest.approx(expected, abs=1e-12)
+
+
+class TestJointTables:
+    """The bit table the exact solver and the oracle share, checked on its own
+    at random beliefs and at every corner of {0, 1}**R."""
+
+    @staticmethod
+    def beliefs(n_rbs: int) -> np.ndarray:
+        corners = (pomdp._state_bits(n_rbs) == 0).astype(float)
+        return np.vstack([np.random.default_rng(n_rbs).random((50, n_rbs)), corners])
+
+    def test_bits_count_in_binary_with_rb_0_on_top(self):
+        assert pomdp._state_bits(0).shape == (1, 0)
+        for n_rbs in range(1, 5):
+            bits = pomdp._state_bits(n_rbs)
+            assert bits.shape == (2 ** n_rbs, n_rbs)
+            assert (bits @ 2 ** np.arange(n_rbs)[::-1]).tolist() == list(range(2 ** n_rbs))
+
+    def test_branch_probabilities_sum_to_one(self):
+        for n_rbs, sleep_sensing in itertools.product(range(1, 5), (True, False)):
+            model = small_model(n_rbs=n_rbs, eps=0.1, phi=0.3, sleep_sensing=sleep_sensing)
+            m = self.beliefs(n_rbs)
+            for a in range(n_rbs + 1):
+                li, lb = pomdp._obs_branches(model, a)
+                assert len(li) == 2 ** (n_rbs if sleep_sensing else int(a != SLEEP))
+                prob, _ = pomdp._branch_step(m, li[:, None, :], lb[:, None, :])
+                np.testing.assert_allclose(prob.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+
+    def test_branch_posteriors_match_belief_update(self):
+        """Branch j is the reading `_state_bits` lists j-th over the heard RBs,
+        and its posterior is `belief_update`'s after that reading."""
+        for n_rbs, sleep_sensing in itertools.product(range(1, 4), (True, False)):
+            model = small_model(n_rbs=n_rbs, eps=0.1, phi=0.3, sleep_sensing=sleep_sensing)
+            b = np.random.default_rng(n_rbs).random(n_rbs)
+            m = belief_propagate(b, model.markov)
+            for a in range(n_rbs + 1):
+                heard = np.full(n_rbs, sleep_sensing) | (np.arange(n_rbs) == a - 1)
+                patterns = pomdp._state_bits(int(heard.sum()))
+                for li, lb, pattern in zip(*pomdp._obs_branches(model, a), patterns):
+                    reading = np.full(n_rbs, -1)
+                    reading[heard] = pattern
+                    want = belief_update(b, a, reading, model.markov, model.obs)
+                    np.testing.assert_allclose(pomdp._branch_step(m, li, lb)[1], want,
+                                               rtol=0.0, atol=1e-12)
+
+    def test_product_law_has_the_beliefs_as_marginals(self):
+        for n_rbs in range(1, 5):
+            beliefs = self.beliefs(n_rbs)
+            joint = pomdp.AlphaPolicy._joint(beliefs)
+            np.testing.assert_allclose(joint.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+            idle = pomdp._state_bits(n_rbs) == 0
+            np.testing.assert_allclose(joint @ idle, beliefs, rtol=0.0, atol=1e-12)
 
 
 def _tangents(points: np.ndarray, centre: np.ndarray) -> np.ndarray:
