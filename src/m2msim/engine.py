@@ -189,6 +189,45 @@ def _per_row(values: Sequence[float], rows: Sequence[int]):
     return np.repeat(values, rows)[:, None]
 
 
+_ORBIT_STEPS = 1000
+
+
+def _idle_spread(config: ScenarioConfig) -> float:
+    """A bound on the spread, max - min over a row's RBs, of the idle
+    probabilities the access rule reads for a device of this run, rounding
+    included (`pomdp.SliceAccess`).
+
+    The random arm reads 1 everywhere, the clairvoyant arm the slot's 0 or 1.
+    The informed arm reads its predicted beliefs b p_ii + (1 - b) p_bi with b
+    in [0, 1]: convex combinations of p_ii and p_bi, each computed within
+    4.5 u of its exact value (u = 2^-53), so |p_ii - p_bi| + 2^-48 bounds
+    their spread.  Where the readings carry no information (both trusted
+    flip rates 0.5, sleep sensing on) the Bayes step reads the same numbers
+    whatever was read or done, so every belief is the stationary value
+    after some number of slots: a row's RBs are points of one orbit, and
+    they part only when a reallocation mixes carried and fresh RBs.  A fixed
+    slack cannot cover that drift, as a lone device's curvature floor
+    (1e-12) turns one unit of roundoff into a share move of 1e-4; so the
+    orbit is run with the engine's own steps until a value recurs, and the
+    range of its predictions is the bound, 0 on the shipped chain.
+    """
+    if config.policy_mode != "pomdp":
+        return 0.0 if config.policy_mode == "random" else 1.0
+    markov = config.markov
+    if config.sleep_sensing and config.obs.trusted_epsilon == config.obs.trusted_phi == 0.5:
+        belief = np.full((1, 1), markov.stationary_idle())
+        seen, levels = set(), []
+        for _ in range(_ORBIT_STEPS):
+            if belief[0, 0] in seen:
+                return float(max(levels) - min(levels))
+            seen.add(belief[0, 0])
+            predicted = pomdp.belief_propagate(belief, markov)
+            levels.append(predicted[0, 0])
+            belief = pomdp.bayes_update(predicted, np.ones(1, dtype=int),
+                                        np.ones((1, 1), dtype=bool), 0.5, 0.5)
+    return abs(markov.p_idle_idle - markov.p_busy_idle) + 2.0 ** -48
+
+
 class _Run:
     """One run of a batch: its rows, RBs and slices in the batch, its random
     streams, and its own controller and policy state."""
@@ -272,6 +311,7 @@ class Simulation:
         arms = [POLICY_MODES.index(cfg.policy_mode) for cfg in configs]
         self._planned = [run for run, arm in zip(self.runs, arms) if arm == 0]
         self._arms = np.repeat(arms, run_devices)[:, None] if any(arms) else None
+        self._spread = np.repeat([_idle_spread(cfg) for cfg in configs], run_devices)
 
         stationary = self._shared.markov.stationary_idle()
         self.rb_states = np.concatenate([
@@ -417,7 +457,8 @@ class Simulation:
             saw_idle[rows, cols] = pomdp.reading(idle_now[rows, cols], u[rows, cols], epsilon)
         self.beliefs = pomdp.bayes_update(
             predicted, actions, saw_idle, self._trust_eps, self._trust_phi,
-            self._shared.sleep_sensing) * self._belief_mask
+            self._shared.sleep_sensing)
+        self.beliefs *= self._belief_mask
         return saw_idle
 
     def _record(self, slot, actions, rb, rates, saw_idle):
@@ -470,7 +511,7 @@ class Simulation:
         self._belief_cols = np.minimum(offsets[:, None] + np.arange(width)[None, :],
                                        self._last_rb[:, None])
         self._access = pomdp.SliceAccess(self._belief_mask, self._slice_sizes,
-                                         self._shared.radio, self._row_bounds)
+                                         self._shared.radio, self._row_bounds, self._spread)
 
     # -- period dynamics ----------------------------------------------------
 

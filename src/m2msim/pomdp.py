@@ -172,10 +172,13 @@ def _posterior(prior: np.ndarray, saw_idle: np.ndarray, trust: float) -> np.ndar
     denom = np.where(saw_idle, trust, 1.0 - trust)
     denom *= 1.0 - prior
     denom += joint_idle
+    # for priors in [0, 1] and every trust in [2^-1021, 1), the larger of
+    # prior and 1 - prior is >= 1/2 and weighs >= min(trust, 1 - trust), so
+    # denom >= 2^-1022, a normal float: every reading steers the belief
+    if np.min(trust) >= 2.0 ** -1021 and np.max(trust) < 1.0:
+        return np.divide(joint_idle, denom, out=joint_idle)
     # a zero-likelihood reading cannot steer the belief; keep the prior there
     steered = denom > 0.0
-    if steered.all():
-        return np.divide(joint_idle, denom, out=joint_idle)
     posterior = np.divide(joint_idle, denom, out=joint_idle, where=steered)
     np.copyto(posterior, prior, where=~steered)
     return posterior
@@ -468,6 +471,7 @@ _CURVATURE_FLOOR = 1e-12
 _STEP_TOL = 1e-6           # converged: no share moves further (uniform share = 1)
 _MAX_STEPS = 30
 _SETTLE_STEP = 0.05        # largest first step for which the one-step bound holds
+_SCREEN_SLACK = 2.0 ** -40  # per squared width: `draw`'s screen's cover for rounding
 _NODE_STEP = 0.25          # quadrature step in log(s) of the fading integral
 _TERMS_BLOCK = 1 << 20     # elements of each (nodes, k) temporary in `_rate_terms`
 
@@ -588,14 +592,60 @@ class SliceAccess:
     the rows whose pick the first step leaves in doubt.  Every row starts
     at the same point, so its first Newton step comes from per-layout
     tables.  By the convexity above, after a first step whose
-    largest share change is D <= 0.05, each share still lies within K E^2
-    of the optimum, where E = D / (1 - 2 K D) bounds the distance from the
-    start while 4 K D <= 1, and K = kappa max G''(0.9 kappa) /
+    largest share change is d <= 0.05, each share still lies within K E^2
+    of the optimum, where E = d / (1 - 2 K d) bounds the distance from the
+    start while 4 K d <= 1, and K = kappa max G''(0.9 kappa) /
     (2 min c(kappa)) over idle and busy, kappa = (n - 1) / R and c = -dG/dk.
     A CDF edge sums at most floor(R / 2) such errors, so a row whose t lies
     farther than floor(R / 2) K E^2 from every edge draws the same RB from
     the first step as from the optimum; the other rows (beliefs of exactly
     0 or 1 among them) are solved to convergence first.
+
+    Most rows need not take the first step either: `draw` screens them with
+    a bound on it.  From the uniform start the step on RB r is
+    (s_r - l) w / c_r, with w the row's width, s_r = (p_r - p_1)
+    (G_idle - G_busy) at the start, l the mean of the s_r under weights
+    w / c_r, and c_r = c_busy + p_r (c_idle - c_busy) the curvature at the
+    start (times n - 1, plus a floor).  The mean l lies between the least
+    and the largest s_r, so |s_r - l| <= |G_idle - G_busy| S, where S bounds
+    the row's spread max p - min p; and c_r >= min(c_busy, c_idle) for p_r
+    in [0, 1], c being linear in p_r.  So whatever the beliefs, no share
+    moves by more than
+
+        D = |G_idle - G_busy| S w / min(c_busy, c_idle).
+
+    (D <= 0.05 keeps every share positive, so the step is not cut back.)
+    The first step's CDF edge j is the integer j plus the moves of RBs 1 to
+    j.  With P and Q the weights w / c_r summed over RBs 1 to j and over the
+    rest, and s_P and s_Q the weighted means of the s_r over each, those
+    moves add up to P Q (s_P - s_Q) / (P + Q), as l is the mean of s_P and
+    s_Q under P and Q.  That is at most |G_idle - G_busy| S P Q / (P + Q),
+    which grows with P <= j w / c and Q <= (w - j) w / c, c = min(c_busy,
+    c_idle); so edge j lies within j (w - j) / w D <= H D of j, with
+    H = floor(w / 2) ceil(w / 2) / w.  Take a row with D <= the settle step
+    whose t lies farther than H D + floor(w / 2) K E^2 from every such
+    integer, E taken at d = D.  Then t lies farther than floor(w / 2) K E^2
+    from every first-step edge, and on the same side of edge j as of j: the
+    doubt test passes (E grows with d <= D), and the first step picks
+    int(t) + 1.  Such a row settles at int(t) + 1 before any (width x
+    devices) work, and draws what the unscreened rule draws.  Only the
+    other rows are gathered and first-stepped.  The doubt set lies inside
+    them, so `_converge` gets the same rows in the same stacks as without
+    the screen.  The integers are 1 to w - 1, and w where the run is wider
+    than the row: the edges past a row's width sit at its width.  D = 0
+    (equal beliefs, as the random arm's) settles every t off the integers.
+
+    The float slack: the computed step exceeds its exact bound by at most
+    (w + 13) u D (the weighted mean sums w terms; u = 2^-53), a share change
+    read as (1 + step) - 1 by 2 u more, and a CDF edge, w sums of terms at
+    most w, is off by at most w^2 u.  With sigma = 2^-40 w^2, which is
+    8192 w^2 u, the screen takes D' = D (1 + sigma) + sigma for D and adds
+    sigma to the distance; E at D' bounds the doubt test's E in floats too,
+    since each operation of E rounds monotonically.
+
+    S is the caller's `spread`, per row.  It must bound the computed idle
+    probabilities' spread, their rounding included.  It is 1 by default,
+    which any probabilities obey, and a one-RB row has none.
 
     valid (N, R) marks each device's RBs (a prefix of its row); devices (N,)
     is the size n of each device's slice.  Rows are stored transposed,
@@ -604,19 +654,20 @@ class SliceAccess:
     The rows may stack the layouts of several runs, run after run, with
     `bounds` the first row of each run and the row count, and R the widest
     block of any of them.  A share is computed from its own column and sums
-    down it, so a column is the same in any stack, bit for bit, but a matrix
+    down it, so a column is the same in any stack of two or more columns,
+    bit for bit (numpy adds a lone column's axis pairwise), but a matrix
     product's sums depend on its operand's shape.  So each run's tables and
     solves run on its own rows at its own width, as in a layout of its own,
     and its CDF edges stop at its own width.
     """
 
     def __init__(self, valid: np.ndarray, devices: np.ndarray, radio: RadioParams,
-                 bounds: Optional[Sequence[int]] = None):
+                 bounds: Optional[Sequence[int]] = None,
+                 spread: Optional[np.ndarray] = None):
         self._valid = np.ascontiguousarray(np.asarray(valid, dtype=bool).T)
         self._inner = self._valid[1:]          # edges between a row's RBs
         self._width = self._valid.sum(axis=0).astype(float)
         self._span = self._width * self._valid
-        self._invalid = ~self._valid
         self._crowd = np.asarray(devices, dtype=float) - 1.0
         self._per_share = self._crowd / self._width  # kappa: co-accessors per unit share
         self._nodes, self._weights = _fading_quadrature(radio)
@@ -635,11 +686,28 @@ class SliceAccess:
         # shares >= 0.9, against its smallest slope at the start
         self._quad = 0.5 * self._per_share * bend / np.maximum(curv.min(axis=0), 1e-300)
         self._settle_step = np.minimum(_SETTLE_STEP, 0.25 / np.maximum(self._quad, 1e-300))
-        self._edge_quad = np.floor(self._width / 2.0) * self._quad
+        half = np.floor(self._width / 2.0)
+        self._edge_quad = half * self._quad
         # edges past a run's own width, which a run of its own would not have
         run_width = np.repeat(self._run_widths, np.diff(bounds))
         pad = np.arange(len(self._inner))[:, None] >= run_width - 1
         self._edge_pad = pad if pad.any() else None
+        # the screen of the class docstring: D' per row, and the distance from
+        # the integers past which t settles (never, where D' passes the settle step)
+        spread = np.where(self._width > 1.0, 1.0 if spread is None else spread, 0.0)
+        low = np.minimum(self._curv_busy0, self._curv_busy0 + self._curv_gap0)
+        step = np.abs(self._gain_gap0) * spread * self._width / np.maximum(low, 1e-300)
+        slack = _SCREEN_SLACK * self._width ** 2
+        step = step * (1.0 + slack) + slack
+        reach = step / np.maximum(1.0 - 2.0 * self._quad * step, 0.5)
+        most = half * (self._width - half) / self._width      # H of the class docstring
+        self._settle_gap = np.where(step <= self._settle_step,
+                                    most * step + self._edge_quad * reach * reach + slack,
+                                    np.inf)
+        # the integers the first step's edges sit near: 1 to width - 1, and the
+        # width where the run is wider; a row with none has no edge to pass
+        self._top = self._width - (self._width == run_width)
+        self._settle_gap[self._top < 1.0] = -1.0
 
     def _newton_step(self, y, slope, curv, rows):
         """One Newton step of the scaled shares y (R, n) of `rows` on the simplex.
@@ -670,13 +738,14 @@ class SliceAccess:
                 return new, np.maximum.reduce(np.abs(step, out=step), 0)
             free = (self._valid[:width, rows] if free is None else free) & (new >= 0.0)
 
-    def _first_step(self, p):
-        """The Newton step from the uniform start, from the layout's tables."""
+    def _first_step(self, p, rows=slice(None)):
+        """The Newton step from the uniform start of the rows `rows`, from the
+        layout's tables."""
         slope = p - p[0]
-        slope *= self._gain_gap0
-        curv = self._curv_gap0 * p
-        curv += self._curv_busy0
-        return self._newton_step(self._valid, slope, curv, slice(None))   # y = 1 per RB
+        slope *= self._gain_gap0[rows]
+        curv = self._curv_gap0[rows] * p
+        curv += self._curv_busy0[rows]
+        return self._newton_step(self._valid[:, rows], slope, curv, rows)   # y = 1 per RB
 
     def _converge(self, p, y, moved, rows):
         per_share, crowd = self._per_share[rows], self._crowd[rows]
@@ -689,17 +758,17 @@ class SliceAccess:
             y, moved = self._newton_step(y, g - g[0], curv, rows)
         return y
 
-    def _solve(self, p, y, moved, rows):
-        """Converge the rows `rows` (sorted columns), each run's at its own
-        width; yields each run's rows and their shares."""
-        if not rows.size:
-            return
+    def _solve(self, p, y, moved, cols, at):
+        """Converge the columns `at` of p, y and moved, which hold the rows
+        cols[at] (sorted), each run's at its own width; yields each run's
+        columns and their shares."""
+        rows = cols[at]
         cuts = np.searchsorted(rows, [run.start for run in self._runs] + [len(self._width)])
         for lo, hi, width in zip(cuts[:-1], cuts[1:], self._run_widths):
-            mine = rows[lo:hi]
-            if mine.size:
+            if hi > lo:
+                mine = at[lo:hi]
                 yield mine, self._converge(p[:width, mine], y[:width, mine], moved[mine],
-                                           mine)
+                                           rows[lo:hi])
 
     def _pick(self, y, t, rows):
         """RB (1-based) at quantile t of each row's shares, and the CDF edges."""
@@ -712,32 +781,44 @@ class SliceAccess:
         """q (N, R) for idle probabilities (N, R); rows sum to 1, zero off-row."""
         p = np.ascontiguousarray(np.asarray(idle, dtype=float).T)
         y, moved = self._first_step(p)
-        for rows, solved in self._solve(p, y, moved, np.arange(p.shape[1])):
+        every = np.arange(p.shape[1])
+        for rows, solved in self._solve(p, y, moved, every, every):
             y[:len(solved), rows] = solved
         return (y / self._width).T
 
     def draw(self, idle: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Access actions 1..width (N,): each row's RB drawn from q at u in [0, 1)."""
-        p = np.ascontiguousarray(np.asarray(idle, dtype=float).T)
         t = u * self._width
-        if ((p == p[0]) | self._invalid).all():
-            # uniform q, as the zero first step would give: a batch of the
-            # random arm, or of the informed arm from flip rate 0.5, lands here
-            return t.astype(int) + 1
-        y, moved = self._first_step(p)
-        rb, edges = self._pick(y, t, slice(None))
+        rb = t.astype(int) + 1
+        # the screen: the rows left are those it cannot settle at int(t) + 1
+        near = np.rint(t)
+        np.maximum(near, 1.0, out=near)
+        np.minimum(near, self._top, out=near)
+        near -= t
+        left = np.flatnonzero(np.abs(near, out=near) <= self._settle_gap)
+        if not left.size:
+            return rb
+        if left.size == 1 and len(t) > 1:
+            # two columns at least, summed row by row as in the whole layout;
+            # the other, a settled row, stays settled
+            left = np.sort(np.r_[left, int(left[0] == 0)])
+        p = np.ascontiguousarray(np.asarray(idle, dtype=float)[left].T)
+        t = t[left]
+        y, moved = self._first_step(p, left)
+        pick, edges = self._pick(y, t, left)
         # E of the class docstring: the optimum's largest distance from the start
-        reach = moved / np.maximum(1.0 - 2.0 * self._quad * moved, 0.5)
+        reach = moved / np.maximum(1.0 - 2.0 * self._quad[left] * moved, 0.5)
         # edges past a row's width sit at the width: at worst a needless solve
         edges -= t
         np.abs(edges, out=edges)
         if self._edge_pad is not None:
-            edges[self._edge_pad] = np.inf
+            edges[self._edge_pad[:, left]] = np.inf
         gap = np.minimum.reduce(edges, 0, initial=np.inf)
-        rows = np.flatnonzero((moved > self._settle_step)
-                              | (gap <= self._edge_quad * reach * reach))
-        for mine, solved in self._solve(p, y, moved, rows):
-            rb[mine] = self._pick(solved, t[mine], mine)[0]
+        doubt = np.flatnonzero((moved > self._settle_step[left])
+                               | (gap <= self._edge_quad[left] * reach * reach))
+        for at, solved in self._solve(p, y, moved, left, doubt):
+            pick[at] = self._pick(solved, t[at], left[at])[0]
+        rb[left] = pick
         return rb
 
 

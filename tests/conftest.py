@@ -1,5 +1,6 @@
 """Shared scenario builders for the test suite."""
 
+import copy
 import dataclasses
 from collections import defaultdict
 
@@ -69,3 +70,10 @@ def recorded_batch(configs):
     sink, records = _keeper()
     return [(summary, records(i))
             for i, summary in enumerate(run_batch(configs, slot_sink=sink))]
+
+
+def unscreened(rule):
+    """A `SliceAccess` with its screen off: every row takes the first step."""
+    other = copy.copy(rule)
+    other._settle_gap = np.full_like(rule._settle_gap, np.inf)
+    return other

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (EXACT_SOLVER, PINNED_MARKOV, paired, recorded_batch, recorded_run,
-                      small_radio, tiny_config)
+                      small_radio, tiny_config, unscreened)
 from m2msim import engine, pomdp
 from m2msim.channel import BUSY, IDLE, CellTopology, RbMarkov, Timebase
 from m2msim.config import ConfigError, load_config
@@ -438,8 +438,8 @@ def test_batch_rows_equal_single_runs_for_each_arm(mode, monkeypatch):
 
 def test_batch_rows_equal_single_runs_across_arms(monkeypatch):
     """Every arm at mixed device counts in one batch, with an informed run at
-    flip rate 0.6, whose beliefs stay equal.  Alone, a random run takes the
-    access rule's uniform shortcut; in the batch its rows take the first
+    flip rate 0.6, whose beliefs stay equal.  A random run's rows settle at
+    the uniform pick one by one, alone and beside rows that take the first
     Newton step, and must draw the same RBs.  The clairvoyant arm's rule sees
     beliefs of 0 and 1, and so solves rows to convergence, each run's at its
     own width."""
@@ -465,6 +465,47 @@ def test_batch_rows_equal_single_runs_across_arms(monkeypatch):
     clairvoyant = [run for run, cfg in zip(batched[0][0], configs)
                    if cfg.policy_mode == "perfect"]
     assert any(run.start <= rows.min() < run.stop for run in clairvoyant for _, rows in batched)
+
+
+@pytest.mark.parametrize("markov", [None, RbMarkov(0.7, 0.3, 0.95, 0.05)],
+                         ids=["shipped", "drifting"])
+def test_access_rows_keep_within_the_engines_spread_bound(markov, monkeypatch):
+    """Every slot, each row's idle probabilities spread no wider than the
+    bound the engine gives the access rule, and the screened rule draws
+    what the rule without the screen draws: every arm, with an informed run
+    at flip rate 0.6, whose readings carry no information, across
+    reallocations.  On the drifting chain that run's beliefs alternate
+    between two values a unit of roundoff apart, so with an odd number of
+    slots a period a reallocation mixes carried and fresh RBs that differ,
+    and its bound is that unit, not 0."""
+    base = load_config("five-slice", ["timebase.periods=6", "timebase.slots_per_period=7"])
+    if markov is not None:
+        base = paired(base, markov=markov)
+    configs = [paired(base, policy_mode=mode, seed=seed)
+               for seed, mode in enumerate(POLICY_MODES, 1)]
+    configs.append(paired(with_axis_value(base, "epsilon", 0.6), seed=4))
+    sim = Simulation(configs)
+    flat = sim.runs[-1].rows
+    draw = pomdp.SliceAccess.draw
+    widest = []
+
+    def checking(rule, idle, u):
+        valid = rule._valid.T
+        spread = (np.where(valid, idle, -np.inf).max(axis=1)
+                  - np.where(valid, idle, np.inf).min(axis=1))
+        assert np.all(spread <= sim._spread)
+        widest.append(spread[flat].max())
+        got = draw(rule, idle, u)
+        assert np.array_equal(got, draw(unscreened(rule), idle, u))
+        return got
+
+    monkeypatch.setattr(pomdp.SliceAccess, "draw", checking)
+    summary = sim.run()
+    assert len(widest) == 6 * base.timebase.slots_per_period
+    moved = [row.delta_applied != 0 for run in summary.runs[3:] for row in run.period_rows]
+    assert any(moved)
+    assert sim._spread[flat.start] == max(widest)
+    assert (max(widest) > 0.0) == (markov is not None)
 
 
 def test_batch_rows_equal_single_runs_with_a_solved_planner(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from conftest import PINNED_MARKOV, small_radio
+from conftest import PINNED_MARKOV, small_radio, unscreened
 from m2msim import cli, pomdp
 from m2msim.channel import RbMarkov
 from m2msim.pomdp import (SLEEP, BeliefUpdateError, MyopicPolicy,
@@ -153,6 +153,26 @@ def test_bayes_update_rows_match_belief_update(eps, phi, sleep_sensing):
         assert np.array_equal(batched, rows)
 
 
+def test_posterior_is_the_bayes_ratio_wherever_no_reading_can_be_impossible():
+    """At every trust in [2^-1021, 1), priors 0, 1 and subnormal among them,
+    no likelihood is 0 and the posterior is the plain Bayes ratio, bit for
+    bit, for a float trust and for a column of them.  A zero-likelihood
+    reading (trust 0) keeps the prior."""
+    priors = np.array([0.0, 1.0, 5e-324, 2.0 ** -1022, 0.3, 0.5, 1.0 - 2.0 ** -53])
+    trusts = [2.0 ** -1021, 1e-300, 0.1, 0.5, 0.9, 1.0 - 2.0 ** -53]
+    for saw in (True, False):
+        saw_idle = np.full(priors.shape, saw)
+        for trust in trusts + [np.array(trusts + [0.5])[:, None]]:
+            like_idle = np.where(saw_idle, 1.0 - trust, trust)
+            like_busy = np.where(saw_idle, trust, 1.0 - trust)
+            denom = like_busy * (1.0 - priors) + like_idle * priors
+            assert np.all(denom > 0.0)
+            got = pomdp._posterior(np.broadcast_to(priors, denom.shape), saw_idle, trust)
+            assert np.array_equal(got, like_idle * priors / denom)
+    kept = pomdp._posterior(np.array([0.0, 1.0, 0.4]), np.array([True, False, True]), 0.0)
+    assert kept.tolist() == [0.0, 1.0, 1.0]
+
+
 flips = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
 
 
@@ -288,6 +308,66 @@ def _layout(widths, devices):
     widths = np.asarray(widths)
     valid = np.arange(widths.max())[None, :] < widths[:, None]
     return valid, SliceAccess(valid, np.asarray(devices, dtype=float), small_radio())
+
+
+def _step_bound(rule, spread):
+    """D of the `SliceAccess` docstring per row, from the layout's tables."""
+    low = np.minimum(rule._curv_busy0, rule._curv_busy0 + rule._curv_gap0)
+    return np.abs(rule._gain_gap0) * spread * rule._width / low
+
+
+def _stacked_layout(rng, runs=3, least_devices=1):
+    """Runs of 1 to 40 rows stacked in one layout, each row of 1 to 25 RBs
+    and its own slice size, each run padded to its widest row: the valid
+    mask, the run bounds and the slice sizes.  The first row is one RB wide
+    and, with least_devices 1, the second is a one-device slice."""
+    widths = [rng.integers(1, 26, rng.integers(2, 41)) for _ in range(runs)]
+    widths[0][0] = 1
+    top = max(w.max() for w in widths)
+    valid = np.concatenate([np.arange(top)[None, :] < w[:, None] for w in widths])
+    bounds = np.cumsum([0] + [len(w) for w in widths])
+    devices = np.where(rng.random(len(valid)) < 0.5, rng.integers(least_devices, 40, len(valid)),
+                       rng.integers(40, 5001, len(valid))).astype(float)
+    devices[1] = least_devices
+    return valid, bounds, devices
+
+
+def _near_integers(rng, width, scale):
+    """u putting t = u * width on an interior integer (scale 0) or within
+    scale of one, either side; one-RB rows draw at random."""
+    j = rng.integers(1, np.maximum(width, 2))
+    u = (j + scale * rng.choice([-1.0, 1.0], len(width))) / width
+    return np.where(width > 1, np.clip(u, 0.0, 1.0 - 2.0 ** -53), rng.random(len(width)))
+
+
+def _screen_beliefs(rng, valid, case):
+    """Idle probabilities (N, R) and a per-row bound on their spread.
+
+    narrow: inside [lo, lo + 0.05], as the informed arm's predictions lie in
+    [p_bi, p_ii], with each row's first and last RB at the ends, so the
+    spread equals its bound; corners: 0 and 1, bound 1; wide: anywhere in
+    [0, 1], bound 1; equal: one value per row, bound 0 (the random arm);
+    ulp: one value per row, every other RB one unit of roundoff above it,
+    under a bound of 0."""
+    n, top = valid.shape
+    width = valid.sum(axis=1)
+    if case == "narrow":
+        lo = rng.uniform(0.0, 0.95, (n, 1))
+        hi = lo + 0.05
+        idle = np.clip(lo + 0.05 * rng.random((n, top)), lo, hi)
+        idle[:, 0] = lo[:, 0]
+        idle[np.arange(n), width - 1] = hi[:, 0]
+        spread = (hi - lo)[:, 0]
+    elif case == "corners":
+        idle, spread = (rng.random((n, top)) < 0.7) * 1.0, np.ones(n)
+    elif case == "wide":
+        idle, spread = rng.random((n, top)), np.ones(n)
+    else:
+        idle = np.repeat(rng.uniform(0.0, 1.0, (n, 1)), top, axis=1)
+        if case == "ulp":
+            idle[:, 1::2] = np.nextafter(idle[:, 1::2], 2.0)
+        spread = np.zeros(n)
+    return np.where(valid, idle, rng.random((n, top))), spread
 
 
 class TestSliceAccess:
@@ -470,6 +550,146 @@ class TestSliceAccess:
                 u = np.clip(u, 0.0, 1.0 - 1e-16)
                 want = (((u * width)[:, None] >= edges) & valid[:, 1:]).sum(axis=1) + 1
                 assert rule.draw(idle, u).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("case", ["narrow", "corners", "wide", "equal", "ulp"])
+    def test_screen_draws_what_the_unscreened_rule_draws(self, case, monkeypatch):
+        """Over random stacked layouts (runs of different widths, one-RB rows,
+        one-device slices), the screened rule draws every row's RB as the
+        rule without the screen does, and converges the same rows in the same
+        stacks, at random quantiles, on interior integers and within 1e-12 of
+        them.  Under the ulp case's zero bound the slices have two devices
+        or more: a lone device's curvature floor turns one unit of roundoff
+        into a share move of about 1e-4, so no fixed slack covers it."""
+        solved = {}
+        converge = SliceAccess._converge
+        stepped = []
+        first_step = SliceAccess._first_step
+
+        def recording(rule, p, y, moved, rows):
+            solved.setdefault(id(rule), []).append(np.asarray(rows).tolist())
+            return converge(rule, p, y, moved, rows)
+
+        def counting(rule, p, rows=slice(None)):
+            stepped.append(p.shape[1])
+            return first_step(rule, p, rows)
+
+        monkeypatch.setattr(SliceAccess, "_converge", recording)
+        monkeypatch.setattr(SliceAccess, "_first_step", counting)
+        rng = np.random.default_rng(28)
+        rows = settled = 0
+        for _ in range(4):
+            valid, bounds, devices = _stacked_layout(rng, least_devices=2 if case == "ulp" else 1)
+            idle, spread = _screen_beliefs(rng, valid, case)
+            rule = SliceAccess(valid, devices, small_radio(), bounds, spread)
+            reference = unscreened(rule)
+            width = valid.sum(axis=1)
+            for at_random, u in ((True, rng.random(len(valid))),
+                                 (False, _near_integers(rng, width, 0.0)),
+                                 (False, _near_integers(rng, width, 1e-12)),
+                                 (False, _near_integers(rng, width, 1e-9))):
+                stepped.clear()
+                got = rule.draw(idle, u)
+                if at_random:
+                    rows += len(u)
+                    settled += len(u) - sum(stepped)
+                assert got.tolist() == reference.draw(idle, u).tolist()
+                assert solved.pop(id(rule), []) == solved.pop(id(reference), [])
+        if case in ("narrow", "equal", "ulp"):       # the screen does settle rows
+            assert settled > rows / 2
+
+    def test_first_step_stays_within_the_screen_bound(self):
+        """Every share moves by at most D in the first step, and first-step
+        CDF edge j lies within j (w - j) / w * D of the integer j, for
+        beliefs that meet the row's spread bound (rows with D < 1/2, where
+        no share can turn negative)."""
+        rng = np.random.default_rng(29)
+        checked = 0
+        for _ in range(6):
+            valid, bounds, devices = _stacked_layout(rng)
+            for case in ("narrow", "corners", "wide", "equal"):
+                idle, spread = _screen_beliefs(rng, valid, case)
+                rule = SliceAccess(valid, devices, small_radio(), bounds, spread)
+                width = valid.sum(axis=1)
+                bound = _step_bound(rule, np.where(width > 1, spread, 0.0))
+                y, moved = rule._first_step(np.ascontiguousarray(idle.T))
+                free = bound < 0.5
+                assert np.all(moved[free] <= bound[free] * (1.0 + 1e-12) + 1e-15)
+                j = np.arange(1, valid.shape[1])[:, None]
+                edge = np.abs(np.cumsum(y, axis=0)[:-1] - j)
+                room = j * (width - j) / width * bound + 1e-12
+                inner = (j < width) & free
+                assert np.all(edge[inner] <= room[inner])
+                checked += free.sum()
+        assert checked > 200
+
+    def test_random_rows_settle_in_a_mixed_batch(self, monkeypatch):
+        """Rows with equal idle probabilities (bound 0) settle at the uniform
+        pick one by one, beside rows that must take the first step."""
+        rng = np.random.default_rng(30)
+        valid = _layout(self.widths * 4, self.devices * 4)[0]
+        n = len(valid)
+        spread = np.where(np.arange(n) % 2 == 0, 0.0, 1.0)
+        rule = SliceAccess(valid, np.asarray(self.devices * 4, dtype=float),
+                           small_radio(), spread=spread)
+        idle = np.where(np.arange(n)[:, None] % 2 == 0, 1.0, rng.random(valid.shape))
+        stepped = []
+        first_step = SliceAccess._first_step
+
+        def recording(rule, p, rows=slice(None)):
+            stepped.append(np.arange(n)[rows])
+            return first_step(rule, p, rows)
+
+        monkeypatch.setattr(SliceAccess, "_first_step", recording)
+        u = rng.random(n)
+        assert rule.draw(idle, u).tolist() == unscreened(rule).draw(idle, u).tolist()
+        screened, full = stepped
+        assert len(full) == n and np.all(screened % 2 == 1)
+
+    @pytest.mark.parametrize("width, devices, spread", [(10, 30, 0.02), (6, 5, 0.01)])
+    def test_the_screens_edge_bound_is_nearly_tight(self, width, devices, spread):
+        """Half a row's RBs at the top of its spread and half at the bottom
+        move the middle CDF edge by over 99% of the screen's bound,
+        j (w - j) / w * D; a t between that edge and its integer must not
+        settle at int(t) + 1, and does not."""
+        valid = np.ones((1, width), dtype=bool)
+        rule = SliceAccess(valid, np.array([float(devices)]), small_radio(),
+                           spread=np.array([spread]))
+        j = width // 2
+        idle = np.r_[np.full(j, spread), np.zeros(width - j)][None, :]
+        edge = np.cumsum(rule._first_step(np.ascontiguousarray(idle.T))[0][:, 0])[j - 1]
+        bound = j * (width - j) / width * _step_bound(rule, spread)[0]
+        assert 0.99 * bound < abs(edge - j) <= bound
+        for part in (0.5, 0.9, 0.99):
+            u = np.array([(j + part * (edge - j)) / width])
+            drawn = rule.draw(idle, u)
+            assert drawn.tolist() == unscreened(rule).draw(idle, u).tolist()
+            assert drawn[0] != int(u[0] * width) + 1
+
+    def test_a_lone_unsettled_row_steps_as_in_the_whole_layout(self, monkeypatch):
+        """Where the screen leaves one row, its first step still runs on two
+        columns: numpy adds a lone column's axis pairwise, which changes the
+        bits of the step and so of the shares `_converge` starts from."""
+        n = 31
+        valid, _ = _layout([12] + [5] * (n - 1), [50] * n)
+        rule = SliceAccess(valid, np.full(n, 50.0), small_radio(),
+                           spread=np.r_[1.0, np.zeros(n - 1)])
+        reference = unscreened(rule)
+        solved = {id(rule): [], id(reference): []}
+        converge = SliceAccess._converge
+
+        def recording(rule, p, y, moved, rows):
+            solved[id(rule)].append((np.asarray(rows).tolist(), y.tobytes(), moved.tobytes()))
+            return converge(rule, p, y, moved, rows)
+
+        monkeypatch.setattr(SliceAccess, "_converge", recording)
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            idle = np.where(valid, 0.9, 0.0)
+            idle[0] = rng.random(12) < 0.5
+            u = np.r_[rng.random(), np.full(n - 1, 0.5)]    # t = 2.5: settled
+            assert rule.draw(idle, u).tolist() == reference.draw(idle, u).tolist()
+        assert solved[id(rule)] == solved[id(reference)]
+        assert sum(rows == [0] for rows, _, _ in solved[id(rule)]) >= 10
 
 
 class TestSolvers:
