@@ -172,13 +172,10 @@ def _posterior(prior: np.ndarray, saw_idle: np.ndarray, trust: float) -> np.ndar
     denom = np.where(saw_idle, trust, 1.0 - trust)
     denom *= 1.0 - prior
     denom += joint_idle
-    # for priors in [0, 1] and every trust in [2^-1021, 1), the larger of
-    # prior and 1 - prior is >= 1/2 and weighs >= min(trust, 1 - trust), so
-    # denom >= 2^-1022, a normal float: every reading steers the belief
-    if np.min(trust) >= 2.0 ** -1021 and np.max(trust) < 1.0:
-        return np.divide(joint_idle, denom, out=joint_idle)
     # a zero-likelihood reading cannot steer the belief; keep the prior there
     steered = denom > 0.0
+    if steered.all():
+        return np.divide(joint_idle, denom, out=joint_idle)
     posterior = np.divide(joint_idle, denom, out=joint_idle, where=steered)
     np.copyto(posterior, prior, where=~steered)
     return posterior

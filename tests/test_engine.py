@@ -508,6 +508,20 @@ def test_access_rows_keep_within_the_engines_spread_bound(markov, monkeypatch):
     assert (max(widest) > 0.0) == (markov is not None)
 
 
+def test_a_sleeping_batch_without_sleep_sensing_equals_its_runs(monkeypatch):
+    """Two informed runs that differ in epsilon, without sleep sensing, so
+    each row weighs its accessed reading at its own trusted epsilon.  At
+    tx_power 0 every expected rate is 0 and every device sleeps in every
+    slot, so no reading is heard; each run equals the run on its own."""
+    radio = dataclasses.replace(small_radio(), tx_power=0.0)
+    configs = [tiny_config(radio=radio, sleep_sensing=False, seed=seed,
+                           obs=ObservationModel.symmetric(epsilon))
+               for seed, epsilon in ((5, 0.1), (6, 0.3))]
+    _assert_rows_are_single_runs(configs, monkeypatch)
+    for _, records in recorded_batch(configs):
+        assert np.all(records["action"] == 0)
+
+
 def test_batch_rows_equal_single_runs_with_a_solved_planner(monkeypatch):
     """The exact-solver scenario at discount 0.5, where access is not
     certified: each run solves its exact planner and acts through it, on its

@@ -173,6 +173,21 @@ def test_posterior_is_the_bayes_ratio_wherever_no_reading_can_be_impossible():
     assert kept.tolist() == [0.0, 1.0, 1.0]
 
 
+def test_bayes_update_keeps_the_prediction_when_every_device_sleeps():
+    """Without sleep sensing a slot in which every device sleeps hears
+    nothing, also where the rows weigh the accessed reading at trusted
+    epsilons of their own (the runs of a batch that differ in it): the
+    step redoes no entry and returns the prediction."""
+    rng = np.random.default_rng(11)
+    predicted = rng.random((6, 3))
+    saw_idle = rng.random((6, 3)) < 0.5
+    trust_eps = np.repeat([0.1, 0.3], 3)[:, None]
+    for trust_phi in (0.2, trust_eps):
+        got = pomdp.bayes_update(predicted, np.zeros(6, dtype=int), saw_idle,
+                                 trust_eps, trust_phi, sleep_sensing=False)
+        assert np.array_equal(got, predicted)
+
+
 flips = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
 
 
