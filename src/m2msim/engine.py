@@ -189,43 +189,14 @@ def _per_row(values: Sequence[float], rows: Sequence[int]):
     return np.repeat(values, rows)[:, None]
 
 
-_ORBIT_STEPS = 1000
-
-
-def _idle_spread(config: ScenarioConfig) -> float:
-    """A bound on the spread, max - min over a row's RBs, of the idle
-    probabilities the access rule reads for a device of this run, rounding
-    included (`pomdp.SliceAccess`).
-
-    The random arm reads 1 everywhere, the clairvoyant arm the slot's 0 or 1.
-    The informed arm reads its predicted beliefs b p_ii + (1 - b) p_bi with b
-    in [0, 1]: convex combinations of p_ii and p_bi, each computed within
-    4.5 u of its exact value (u = 2^-53), so |p_ii - p_bi| + 2^-48 bounds
-    their spread.  Where the readings carry no information (both trusted
-    flip rates 0.5, sleep sensing on) the Bayes step reads the same numbers
-    whatever was read or done, so every belief is the stationary value
-    after some number of slots: a row's RBs are points of one orbit, and
-    they part only when a reallocation mixes carried and fresh RBs.  A fixed
-    slack cannot cover that drift, as a lone device's curvature floor
-    (1e-12) turns one unit of roundoff into a share move of 1e-4; so the
-    orbit is run with the engine's own steps until a value recurs, and the
-    range of its predictions is the bound, 0 on the shipped chain.
-    """
-    if config.policy_mode != "pomdp":
-        return 0.0 if config.policy_mode == "random" else 1.0
-    markov = config.markov
-    if config.sleep_sensing and config.obs.trusted_epsilon == config.obs.trusted_phi == 0.5:
-        belief = np.full((1, 1), markov.stationary_idle())
-        seen, levels = set(), []
-        for _ in range(_ORBIT_STEPS):
-            if belief[0, 0] in seen:
-                return float(max(levels) - min(levels))
-            seen.add(belief[0, 0])
-            predicted = pomdp.belief_propagate(belief, markov)
-            levels.append(predicted[0, 0])
-            belief = pomdp.bayes_update(predicted, np.ones(1, dtype=int),
-                                        np.ones((1, 1), dtype=bool), 0.5, 0.5)
-    return abs(markov.p_idle_idle - markov.p_busy_idle) + 2.0 ** -48
+def _idle_source(config: ScenarioConfig) -> int:
+    """What the access rule reads for a device of this run, by POLICY_MODES
+    index: 0 its predicted beliefs, 1 equal idle probabilities, 2 the slot's
+    true occupancy.  An informed run whose readings carry no information
+    reads what the random arm reads."""
+    if config.policy_mode == "pomdp" and config.obs.uninformative:
+        return 1
+    return POLICY_MODES.index(config.policy_mode)
 
 
 class _Run:
@@ -307,13 +278,21 @@ class Simulation:
         self._trust_phi = _per_row([o.trusted_phi for o in obs], run_devices)
         self._unequal_noise = any(o.epsilon != o.phi for o in obs)
         self._row_bounds = [r.rows.start for r in self.runs] + [n]
-        # each row's arm by its POLICY_MODES index, 0 informed; None if all are informed
-        arms = [POLICY_MODES.index(cfg.policy_mode) for cfg in configs]
-        self._planned = [run for run, arm in zip(self.runs, arms) if arm == 0]
-        self._arms = np.repeat(arms, run_devices)[:, None] if any(arms) else None
-        self._spread = np.repeat([_idle_spread(cfg) for cfg in configs], run_devices)
+        self._planned = [run for run in self.runs if run.config.policy_mode == "pomdp"]
+        # `_idle_source`: one index when every row reads the same, else a column
+        sources = [_idle_source(cfg) for cfg in configs]
+        self._sources = (sources[0] if len(set(sources)) == 1
+                         else np.repeat(sources, run_devices)[:, None])
+        # a bound on the spread, max - min over a row's RBs, of what the rule
+        # reads, rounding included (`pomdp.SliceAccess`): predicted beliefs are
+        # convex combinations of p_ii and p_bi, each within 4.5 u of its exact
+        # value (u = 2^-53); equal idle probabilities spread by 0, the slot's
+        # occupancy by 1
+        markov = self._shared.markov
+        spreads = (abs(markov.p_idle_idle - markov.p_busy_idle) + 2.0 ** -48, 0.0, 1.0)
+        self._spread = np.repeat([spreads[i] for i in sources], run_devices)
 
-        stationary = self._shared.markov.stationary_idle()
+        stationary = markov.stationary_idle()
         self.rb_states = np.concatenate([
             np.where(r.streams[0].random(r.config.topology.access_rbs) < stationary,
                      IDLE, BUSY) for r in self.runs])
@@ -324,6 +303,7 @@ class Simulation:
         self._belief_widths: Optional[np.ndarray] = None
         self._belief_cols: Optional[np.ndarray] = None
         self._access: Optional[pomdp.SliceAccess] = None
+        self._laid_out: Optional[List[int]] = None     # the allocation laid out
         # the busy-source power per RB, plus a silent bin that sleepers point at
         self._busy_power = np.zeros(self.pool + 1)
         self._block_slots = max(1, min(_DRAW_BYTES // (8 * (2 * self.pool + 2 * n)),
@@ -421,11 +401,14 @@ class Simulation:
                         predicted: np.ndarray, idle_now: np.ndarray) -> np.ndarray:
         """0 (sleep) or the RB the slice access rule draws, per device.  The
         informed arm's planners decide sleep or access and the rule reads their
-        predicted beliefs.  The baselines always access; the random arm's rule
-        reads equal idle probabilities, the clairvoyant arm's the slot's true
-        occupancy, a ceiling in expectation, not for every draw."""
-        idle = (predicted if self._arms is None
-                else np.choose(self._arms, (predicted, 1.0, idle_now)))   # by POLICY_MODES
+        predicted beliefs, or equal idle probabilities where the readings
+        carry no information.  The baselines always access; the random arm's
+        rule reads equal idle probabilities, the clairvoyant arm's the slot's
+        true occupancy, a ceiling in expectation, not for every draw."""
+        if isinstance(self._sources, int):
+            idle = (predicted, self._uniform, idle_now)[self._sources]
+        else:
+            idle = np.choose(self._sources, (predicted, 1.0, idle_now))
         access = None
         for run in self._planned:
             widest = self._policy(run, run.width)
@@ -478,8 +461,13 @@ class Simulation:
 
         Knowledge persists across periods: an RB that stays inside the
         device's slice block keeps its belief (tracked by pool index), RBs the
-        slice just gained start at the stationary idle probability.
+        slice just gained start at the stationary idle probability.  An
+        unchanged allocation keeps the layout: the beliefs are already 0 off
+        the mask, so a rebuild would give the same bits.
         """
+        if self.allocation == self._laid_out:
+            return
+        self._laid_out = list(self.allocation)
         allocation = np.array(self.allocation)
         width = allocation.max()
         stationary = self._shared.markov.stationary_idle()
@@ -504,6 +492,7 @@ class Simulation:
                 axis=1)
             fresh = np.where(carried, gather, fresh)
         self.beliefs = fresh
+        self._uniform = np.broadcast_to(1.0, fresh.shape)     # equal idle probabilities
         self._belief_offsets = offsets
         self._belief_widths = r_l
         # masked columns read a real RB of the run's pool, which the mask then

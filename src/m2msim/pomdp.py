@@ -31,10 +31,10 @@ Two solvers and a greedy rule:
           manifold.  Exponential in the RB count, so capped.
   grid    value tables on a per-RB belief grid with nearest-point lookup.
   myopic  `MyopicPolicy`, the per-slot argmax of expected immediate rate.
-          When epsilon == phi and sleeping devices still hear every RB, the
-          observation law does not depend on the action, beliefs evolve the
-          same way whatever the device does, and the greedy rule is
-          provably optimal.  This is the production path for wide slices.
+          When epsilon == phi and sleepers hear every RB, or no reading
+          carries information, beliefs evolve the same way whatever the
+          device does, and the greedy rule is provably optimal.  This is
+          the production path for wide slices.
 
 `solve` is the one planning decision.  Modes exact and grid run that
 solver.  Mode auto returns the greedy rule where the observations are
@@ -113,6 +113,11 @@ class ObservationModel:
     def trusted_phi(self) -> float:
         return min(self.phi, 0.5)
 
+    @property
+    def uninformative(self) -> bool:
+        """Both trusted flip rates are 0.5: every posterior is its prediction."""
+        return self.trusted_epsilon == self.trusted_phi == 0.5
+
 
 @dataclass(frozen=True)
 class PomdpModel:
@@ -151,8 +156,11 @@ class PomdpModel:
         return self.discount ** (self.horizon - 1 - k)
 
     def action_independent_observations(self) -> bool:
-        return (self.sleep_sensing
-                and self.obs.trusted_epsilon == self.obs.trusted_phi)
+        """Whether the belief path cannot depend on the action: every RB is
+        heard at one trusted flip rate whatever the device does, or none is
+        worth hearing."""
+        return self.obs.uninformative or (
+            self.sleep_sensing and self.obs.trusted_epsilon == self.obs.trusted_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +314,10 @@ def _act_one(policy, belief: np.ndarray, slot: int) -> int:
 
 
 class MyopicPolicy:
-    """Greedy per-slot rule: optimal when observations ignore the action, and
-    on a model `access_certified` holds for, the planners' sign (every
-    expected rate is then positive, so it accesses at every belief and slot).
+    """Greedy per-slot rule: optimal when observations ignore the action
+    (equal noise with sleep sensing, or uninformative readings), and on a
+    model `access_certified` holds for, the planners' sign (every expected
+    rate is then positive, so it accesses at every belief and slot).
 
     Exact argmax of the unweighted expected rates, with no tie band (see the
     module docstring); every device sleeps when the slot weight is 0.
@@ -319,7 +328,7 @@ class MyopicPolicy:
     def __init__(self, model: PomdpModel):
         if not (model.action_independent_observations() or access_certified(model)):
             raise ValueError("myopic rule requires epsilon == phi and sleep sensing, "
-                             "or a model whose access is certified")
+                             "uninformative readings, or a model whose access is certified")
         self.model = model
         # then every expected rate is positive, whatever the belief
         self._rates_positive = bool(np.all(model.rate_idle > 0.0)

@@ -269,8 +269,12 @@ class TestObservationModel:
         assert not small_model(eps=0.2, sleep_sensing=False
                                ).action_independent_observations()
         # both flip rates cap to one half, so the readings carry the same
-        # (empty) information whatever the action
+        # (empty) information whatever the action, heard or not
         assert small_model(eps=0.6, phi=0.5).action_independent_observations()
+        assert small_model(eps=0.6, phi=0.5, sleep_sensing=False
+                           ).action_independent_observations()
+        assert ObservationModel(0.6, 0.5).uninformative
+        assert not ObservationModel(0.5, 0.4).uninformative
 
 
 class TestTieBreaks:
@@ -729,6 +733,20 @@ class TestSolvers:
             assert exhaustive_policy_value(model, b, myopic) == pytest.approx(
                 exact.value(b), abs=1e-12)
 
+    def test_myopic_is_optimal_without_information(self):
+        """No reading carries information and sleepers hear nothing: the
+        greedy rule's value is the optimum at every belief, and so is the
+        exact solver's, which shares one future among the actions here."""
+        rng = np.random.default_rng(9)
+        model = small_model(n_rbs=2, horizon=3, eps=0.7, phi=0.5, discount=0.0,
+                            sleep_sensing=False)
+        myopic, exact = MyopicPolicy(model), solve_exact(model)
+        beliefs = rng.random((8, 2))
+        optimum = exhaustive_value(model, beliefs)
+        for b, best in zip(beliefs, optimum):
+            assert exhaustive_policy_value(model, b, myopic) == pytest.approx(best, abs=1e-12)
+            assert exact.value(b) == pytest.approx(best, abs=1e-12)
+
     def test_myopic_requires_action_independence(self):
         # neither action-independent nor certified: discount 0 never is
         model = small_model(eps=0.1, phi=0.4, discount=0.0)
@@ -805,6 +823,10 @@ class TestSolvers:
         # and exact only up to 8 slots
         long = small_model(n_rbs=1, horizon=9, eps=0.2, phi=0.3, discount=0.0)
         assert solve(long, mode="auto", grid_points=21).mode == "grid"
+        # readings that carry no information, without sleep sensing: the greedy rule
+        blind = small_model(eps=0.6, phi=0.5, discount=0.0, sleep_sensing=False)
+        assert not access_certified(blind)
+        assert solve(blind, mode="auto").mode == "myopic"
         for mode in ("banana", "myopic"):
             with pytest.raises(ValueError, match="mode"):
                 solve(small_model(), mode=mode)
